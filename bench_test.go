@@ -1137,6 +1137,99 @@ func BenchmarkRSReconstruct(b *testing.B) {
 	}
 }
 
+// raggedShardLens is one fec_payload_sat aggregate's data subframes as the
+// end-to-end benchmark's profile found them: 6.9 kB on average, the
+// longest — which sets the parity length — 11.6 kB.
+var raggedShardLens = [6]int{11600, 8400, 7200, 6000, 4800, 3400}
+
+// BenchmarkRSEncodeRagged6x2 encodes two parity shards over six data shards
+// of unequal length passed at their true length: the coder reads 41.4 kB
+// where zero-padding every shard to the longest would feed it 69.6 kB.
+func BenchmarkRSEncodeRagged6x2(b *testing.B) {
+	rs, err := fec.NewRS(len(raggedShardLens), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	data := make([][]byte, len(raggedShardLens))
+	total := 0
+	for i, n := range raggedShardLens {
+		data[i] = make([]byte, n)
+		rng.Read(data[i])
+		total += n
+	}
+	parity := [][]byte{make([]byte, raggedShardLens[0]), make([]byte, raggedShardLens[0])}
+	b.SetBytes(int64(total))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rs.EncodeInto(parity, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCodedDeliverFEC is one coded delivery on the oracle transport,
+// shaped like fec_payload_sat: six data subframes of retained 1200-byte
+// frames (the ragged profile above, rounded to whole frames), two parity
+// subframes, every shard reception erased with probability 0.1. An op
+// stages the payloads, encodes, and rebuilds whatever the erasures call
+// for; steady state allocates the two result slices only.
+func BenchmarkCodedDeliverFEC(b *testing.B) {
+	const frameBytes, plans = 1200, 16
+	rng := rand.New(rand.NewSource(42))
+	frame := func() []byte {
+		p := make([]byte, frameBytes)
+		rng.Read(p)
+		return p
+	}
+	batch := make([]*engine.Plan, plans)
+	dataBytes := 0
+	for s := range batch {
+		p := &engine.Plan{Seq: uint64(s), DataSubs: len(raggedShardLens)}
+		maxBytes := 0
+		for i, n := range raggedShardLens {
+			sub := engine.PlanSub{STA: (s + i) % 16, MCS: phy.MCS48}
+			for ; sub.Bytes+frameBytes <= n+frameBytes/2; sub.Bytes += frameBytes {
+				sub.Payloads = append(sub.Payloads, frame())
+			}
+			maxBytes = max(maxBytes, sub.Bytes)
+			dataBytes += sub.Bytes
+			p.Subs = append(p.Subs, sub)
+		}
+		for j := 0; j < 2; j++ {
+			p.Subs = append(p.Subs, engine.PlanSub{STA: -1, MCS: phy.MCS48, Bytes: maxBytes, Parity: true})
+		}
+		batch[s] = p
+	}
+	tr := &engine.CodedOracleTransport{
+		ErasePattern: func(seq uint64, sta, shard int, _ bool) bool {
+			h := (seq+1)*0x9e3779b97f4a7c15 ^ uint64(sta+1)*0xbf58476d1ce4e5b9 ^ uint64(shard+1)*0x94d049bb133111eb
+			h ^= h >> 31
+			return h%10 == 0
+		},
+	}
+	ctx := context.Background()
+	recovered := 0
+	b.SetBytes(int64(dataBytes / plans))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := tr.DeliverFEC(ctx, batch[i%plans])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res.Recovered {
+			if r {
+				recovered++
+			}
+		}
+	}
+	if b.N >= plans && recovered == 0 {
+		b.Fatal("no shard was rebuilt; the benchmark exercises no reconstruct")
+	}
+}
+
 // benchClusterSubmitDrain measures the multi-AP serving path: 10k
 // size-only frames striped over 32 stations, routed to their APs by the
 // lock-free STA→AP map, delivered by each AP's own worker, then drained

@@ -45,8 +45,10 @@ import (
 // sharded-admission scalability gate — and BenchmarkDemapSoftQ64QAM pins
 // the vectorized quantized demap kernel on one OFDM symbol. The erasure
 // arm gates the GF(256) Reed-Solomon kernels (encode over 4- and
-// 16-subframe aggregates, worst-case two-erasure reconstruct) at zero
-// allocations per op. The cluster arm covers multi-AP serving: the same
+// 16-subframe aggregates, worst-case two-erasure reconstruct, ragged
+// encode over a 6+2 aggregate of unequal shards) at zero allocations per
+// op, and one whole coded delivery on the oracle transport at two. The
+// cluster arm covers multi-AP serving: the same
 // 10k-frame submit+drain routed across 4 and 16 APs by the lock-free
 // STA→AP map, and one Pick/Observe cycle of the learning spatial-reuse
 // scheduler.
@@ -72,6 +74,8 @@ var suite = []string{
 	"BenchmarkRSEncode4Sub",
 	"BenchmarkRSEncode16Sub",
 	"BenchmarkRSReconstruct",
+	"BenchmarkRSEncodeRagged6x2",
+	"BenchmarkCodedDeliverFEC",
 	"BenchmarkClusterSubmitDrain4AP",
 	"BenchmarkClusterSubmitDrain16AP",
 	"BenchmarkBanditSchedulerStep",

@@ -1,5 +1,7 @@
 package engine
 
+import "sync"
+
 // The payload arena backs RetainPayloads mode: submitted frame bytes are
 // copied once into large shared slabs instead of one heap allocation per
 // frame, so batch admission of thousands of small payloads costs a handful
@@ -8,14 +10,18 @@ package engine
 // is recycled only when every frame referencing it has reached a final
 // disposition (delivered, dropped, or expired — a retry requeue keeps its
 // reference), which the engine drives from accountLocked/expireLocked
-// under e.mu, so the arena itself needs no locking.
+// under the lane lock, so the arena itself needs no locking. Drained slabs
+// go back to a process-wide pool: however many frames are in flight, a
+// lane at steady state takes a recycled slab, not a fresh zeroed one.
 
 // arenaChunkBytes is the slab size; payloads larger than a slab get a
 // dedicated exact-size chunk.
 const arenaChunkBytes = 64 << 10
 
-// arenaMaxFree bounds the recycled-chunk free list.
-const arenaMaxFree = 8
+// chunkPool recycles drained full-size slabs across lanes and engines.
+var chunkPool = sync.Pool{New: func() any {
+	return &arenaChunk{buf: make([]byte, arenaChunkBytes)}
+}}
 
 type arenaChunk struct {
 	buf  []byte
@@ -24,8 +30,7 @@ type arenaChunk struct {
 }
 
 type payloadArena struct {
-	cur  *arenaChunk
-	free []*arenaChunk
+	cur *arenaChunk
 }
 
 // alloc copies p into arena storage and returns the aliasing slice plus
@@ -45,13 +50,8 @@ func (a *payloadArena) alloc(p []byte) ([]byte, *arenaChunk) {
 		c.used = 0 // full but unreferenced: reuse in place
 	}
 	if c == nil || c.used+n > len(c.buf) {
-		if k := len(a.free); k > 0 {
-			c = a.free[k-1]
-			a.free = a.free[:k-1]
-			c.used = 0
-		} else {
-			c = &arenaChunk{buf: make([]byte, arenaChunkBytes)}
-		}
+		c = chunkPool.Get().(*arenaChunk)
+		c.used = 0
 		a.cur = c
 	}
 	dst := c.buf[c.used : c.used+n : c.used+n]
@@ -62,8 +62,8 @@ func (a *payloadArena) alloc(p []byte) ([]byte, *arenaChunk) {
 }
 
 // release drops one frame's reference. A chunk whose last reference is
-// gone returns to the free list (the current chunk instead rewinds so its
-// space is reused immediately).
+// gone returns to the pool (the current chunk instead rewinds so its space
+// is reused immediately; an oversize dedicated chunk is left to the GC).
 func (a *payloadArena) release(c *arenaChunk) {
 	if c == nil {
 		return
@@ -76,7 +76,7 @@ func (a *payloadArena) release(c *arenaChunk) {
 		c.used = 0
 		return
 	}
-	if len(c.buf) == arenaChunkBytes && len(a.free) < arenaMaxFree {
-		a.free = append(a.free, c)
+	if len(c.buf) == arenaChunkBytes {
+		chunkPool.Put(c)
 	}
 }

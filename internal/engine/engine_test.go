@@ -264,9 +264,11 @@ func TestPayloadArenaRecycling(t *testing.T) {
 	if cb == first || len(pb) != len(big) || cap(pb) != len(big) {
 		t.Errorf("oversize alloc: chunk shared=%v len=%d cap=%d", cb == first, len(pb), cap(pb))
 	}
+	// ... and never enter the slab pool: the next fresh slab is full-size.
 	a.release(cb)
-	if len(a.free) != 0 {
-		t.Error("oversize chunk entered the free list")
+	var other payloadArena
+	if _, c := other.alloc(payload); len(c.buf) != arenaChunkBytes {
+		t.Errorf("pool handed out a %d-byte chunk, want %d", len(c.buf), arenaChunkBytes)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -42,6 +43,9 @@ func TestFECPlanShape(t *testing.T) {
 		MaxReceivers: 8,
 		MCS:          mcs,
 		Transport:    &CodedOracleTransport{},
+		// One lane: a plan aggregates within a lane, and the default lane
+		// count follows GOMAXPROCS (two lanes of five here on two cores).
+		AdmissionShards: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,5 +392,133 @@ func TestFECGoodputCrossover(t *testing.T) {
 	if last.fec <= last.retry {
 		t.Errorf("at p=%.2f fec %.2f ≤ retry %.2f Mbit/s; recovery should beat retransmission",
 			ps[len(ps)-1], last.fec, last.retry)
+	}
+}
+
+// codedTestPlans hand-builds coded plans of mixed geometry: 3–6 data
+// subframes of unequal size (retained payloads, with every third subframe
+// size-only so the filler stream is staged too) and 1–2 parity subframes
+// as long as the largest.
+func codedTestPlans(n int) []*Plan {
+	rng := rand.New(rand.NewSource(41))
+	plans := make([]*Plan, n)
+	for s := range plans {
+		k, m := 3+s%4, 1+s%2
+		p := &Plan{Seq: uint64(s), DataSubs: k}
+		maxBytes := 0
+		for i := 0; i < k; i++ {
+			sub := PlanSub{STA: (s + i) % 8, MCS: phy.MCS48}
+			for f := 0; f <= rng.Intn(4); f++ {
+				b := make([]byte, 200+rng.Intn(1100))
+				rng.Read(b)
+				sub.Bytes += len(b)
+				if i%3 != 2 {
+					sub.Payloads = append(sub.Payloads, b)
+				}
+			}
+			maxBytes = max(maxBytes, sub.Bytes)
+			p.Subs = append(p.Subs, sub)
+		}
+		for j := 0; j < m; j++ {
+			p.Subs = append(p.Subs, PlanSub{STA: -1, MCS: phy.MCS48, Bytes: maxBytes, Parity: true})
+		}
+		plans[s] = p
+	}
+	return plans
+}
+
+// hashErase loses about one shard reception in five, from a hash of
+// (transmission, station, shard).
+func hashErase(seq uint64, sta, shard int, _ bool) bool {
+	h := (seq+1)*0x9e3779b97f4a7c15 ^ uint64(sta+1)*0xbf58476d1ce4e5b9 ^ uint64(shard+1)*0x94d049bb133111eb
+	h ^= h >> 31
+	return h%5 == 0
+}
+
+// TestCodedDeliverFECConcurrent runs many goroutines through one
+// transport's DeliverFEC at once (the engine's workers, exaggerated) and
+// checks every plan's verdict equals the sequential pass. The hooks bump
+// plain counters: they are promised the transport's lock, and -race (the
+// CI engine-soak leg) reports it if they lose it.
+func TestCodedDeliverFECConcurrent(t *testing.T) {
+	const workers, rounds = 8, 6
+	plans := codedTestPlans(24)
+	ctx := context.Background()
+	eraseCalls, corruptCalls := 0, 0
+	tr := &CodedOracleTransport{
+		Seed: 5,
+		ErasePattern: func(seq uint64, sta, shard int, own bool) bool {
+			eraseCalls++
+			return hashErase(seq, sta, shard, own)
+		},
+		CorruptParity: func([][]byte) { corruptCalls++ },
+	}
+	want := make([]FECResult, len(plans))
+	recovered := 0
+	for i, p := range plans {
+		var err error
+		if want[i], err = tr.DeliverFEC(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range want[i].Recovered {
+			if r {
+				recovered++
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Fatal("sequential pass recovered nothing; the test exercises no rebuild")
+	}
+	seqErase := eraseCalls
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for n := range plans {
+					i := (n + w*5) % len(plans) // each worker starts elsewhere
+					got, err := tr.DeliverFEC(ctx, plans[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("plan %d: concurrent verdict %+v, sequential %+v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := 1 + workers*rounds; eraseCalls != n*seqErase || corruptCalls != n*len(plans) {
+		t.Errorf("hooks ran %d / %d times, want %d / %d: an update was lost outside the lock",
+			eraseCalls, corruptCalls, n*seqErase, n*len(plans))
+	}
+}
+
+// TestCodedDeliverFECSteadyStateAllocs pins the staging contract: once the
+// pooled working set has seen a geometry, a delivery — payload copies,
+// parity, rebuilds and all — allocates its two result slices and nothing
+// else.
+func TestCodedDeliverFECSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	plans := codedTestPlans(8)
+	ctx := context.Background()
+	tr := &CodedOracleTransport{Seed: 5, ErasePattern: hashErase}
+	deliverAll := func() {
+		for _, p := range plans {
+			if _, err := tr.DeliverFEC(ctx, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deliverAll() // warm the working set: slab, coders, slices
+	if avg := testing.AllocsPerRun(50, deliverAll); avg != float64(2*len(plans)) {
+		t.Errorf("DeliverFEC allocates %.2f per delivery, want 2 (Direct and Recovered)", avg/float64(len(plans)))
 	}
 }

@@ -51,6 +51,16 @@ type Plan struct {
 	DataSubs int
 }
 
+// pushSub appends sub, handing it the Payloads capacity the slot held in
+// an earlier plan built in the same scratch: a bare append would reset it
+// to nil and every plan would grow each subframe's slice from nothing.
+func (p *Plan) pushSub(sub PlanSub) {
+	if n := len(p.Subs); n < cap(p.Subs) {
+		sub.Payloads = p.Subs[:n+1][n].Payloads[:0]
+	}
+	p.Subs = append(p.Subs, sub)
+}
+
 // pendingTx pairs the transport-facing plan with the engine-internal
 // frames it carries, parallel to plan.Subs. sampled counts the lifecycle-
 // sampled frames aboard, so workers skip the delivery-duration clock reads
@@ -222,7 +232,7 @@ func (e *Engine) buildPlanShardLocked(sh *shard, now time.Duration, sc *planScra
 		if slot < 0 {
 			slot = len(plan.Subs)
 			sc.staSlot[best] = slot
-			plan.Subs = append(plan.Subs, PlanSub{STA: best, MCS: mcs})
+			plan.pushSub(PlanSub{STA: best, MCS: mcs})
 			sc.subBits = append(sc.subBits, 16) // SERVICE field
 			// Recycle the inner frame slices across plans.
 			if n := len(sc.tx.frames); n < cap(sc.tx.frames) {
@@ -253,9 +263,7 @@ func (e *Engine) buildPlanShardLocked(sh *shard, now time.Duration, sc *planScra
 		// robust admitted MCS, so any receiver that can hear data can hear
 		// parity.
 		for j := 0; j < fecK; j++ {
-			plan.Subs = append(plan.Subs, PlanSub{
-				STA: -1, MCS: parityMCS, Bytes: maxSubBytes, Parity: true,
-			})
+			plan.pushSub(PlanSub{STA: -1, MCS: parityMCS, Bytes: maxSubBytes, Parity: true})
 			sc.subBits = append(sc.subBits, 16+frameBits(maxSubBytes))
 		}
 	}

@@ -149,102 +149,67 @@ type CodedOracleTransport struct {
 	// before delivery — the conformance harness's injected-bug hook.
 	CorruptParity func(parity [][]byte)
 
-	// Coder cache and per-delivery scratch, guarded by the embedded mu.
-	coders map[int]*fec.RS
-	spans  []mac.SymbolSpan
-	heard  []bool
-	shards [][]byte
-	miss   [][]byte
+	// work pools the per-call working sets (see fecWork), so concurrent
+	// deliveries share no scratch and the embedded mu covers only the
+	// oracle and the two hooks above.
+	work sync.Pool
 }
 
 var _ FECTransport = (*CodedOracleTransport)(nil)
 
-// coderLocked returns the cached RS coder for k data + m parity shards.
-func (t *CodedOracleTransport) coderLocked(k, m int) (*fec.RS, error) {
-	key := k<<16 | m
-	if rs, ok := t.coders[key]; ok {
-		return rs, nil
-	}
-	rs, err := fec.NewRS(k, m)
-	if err != nil {
-		return nil, err
-	}
-	if t.coders == nil {
-		t.coders = make(map[int]*fec.RS)
-	}
-	t.coders[key] = rs
-	return rs, nil
-}
-
-// DeliverFEC materializes the plan's data shards, encodes parity, and
-// plays every receiver's reception through the oracle: direct delivery
-// when the station hears its own subframe, parity reconstruction when it
-// hears at least DataSubs of the aggregate's shards.
+// DeliverFEC stages the plan's shards, encodes parity, and plays every
+// receiver's reception through the oracle: direct delivery when the
+// station hears its own subframe, parity reconstruction when it hears at
+// least DataSubs of the aggregate's shards. Only the oracle queries and
+// the hooks (either may hold unsynchronized state) run under mu; staging,
+// coding and the byte-true compare run on the call's own working set, so
+// the engine's workers code side by side.
 func (t *CodedOracleTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECResult, error) {
 	k := plan.DataSubs
 	total := len(plan.Subs)
-	m := total - k
-	if m == 0 {
+	if total == k {
 		// No parity aboard (defensive: the FEC planner always appends
 		// some): plain per-subframe oracle verdicts.
-		ok, err := t.OracleTransport.Deliver(ctx, plan)
-		if err != nil {
-			return FECResult{}, err
-		}
-		return FECResult{Direct: ok, Recovered: make([]bool, len(ok))}, nil
+		return uncodedResult(t.OracleTransport.Deliver(ctx, plan))
+	}
+	w := getFECWork(&t.work)
+	defer t.work.Put(w)
+	if err := w.stage(t.Seed, plan); err != nil {
+		return FECResult{}, err
 	}
 	res := FECResult{Direct: make([]bool, k), Recovered: make([]bool, k)}
-	shardLen := plan.Subs[k].Bytes
+	if err := t.hear(plan, w, res); err != nil {
+		return FECResult{}, err
+	}
+	for i, try := range res.Recovered {
+		if try {
+			res.Recovered[i] = w.rebuild(i, w.heard[i*total:(i+1)*total])
+		}
+	}
+	return res, nil
+}
 
+// hear is DeliverFEC's locked part. It runs the CorruptParity hook, fills
+// the reception matrix (row i of w.heard is what receiver i heard of every
+// shard, oracle verdicts less ErasePattern erasures), and sets Direct;
+// Recovered comes back marking the receivers worth a rebuild attempt.
+func (t *CodedOracleTransport) hear(plan *Plan, w *fecWork, res FECResult) error {
+	k, total := plan.DataSubs, len(plan.Subs)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rs, err := t.coderLocked(k, m)
-	if err != nil {
-		return FECResult{}, err
-	}
-
-	// True shard bytes: data payloads zero-padded to the parity length,
-	// then the RS parity over them.
-	truth := make([][]byte, total)
-	for j := 0; j < k; j++ {
-		p := subframePayload(t.Seed, plan.Seq, j, plan.Subs[j])
-		if len(p) < shardLen {
-			pp := make([]byte, shardLen)
-			copy(pp, p)
-			p = pp
-		}
-		truth[j] = p
-	}
-	for j := 0; j < m; j++ {
-		truth[k+j] = make([]byte, shardLen)
-	}
-	if err := rs.EncodeInto(truth[k:], truth[:k]); err != nil {
-		return FECResult{}, err
-	}
 	if t.CorruptParity != nil {
-		t.CorruptParity(truth[k:])
+		t.CorruptParity(w.air[k:])
 	}
-
-	if cap(t.spans) < total {
-		t.spans = make([]mac.SymbolSpan, total)
-		t.heard = make([]bool, total)
-		t.shards = make([][]byte, total)
-		t.miss = make([][]byte, total)
-	}
-	spans, heard, shards := t.spans[:total], t.heard[:total], t.shards[:total]
-	for j, sub := range plan.Subs {
-		spans[j] = mac.SymbolSpan{Start: sub.StartSym, Num: sub.NumSym}
-	}
-
 	for i := 0; i < k; i++ {
 		sta := plan.Subs[i].STA
 		loc := 0
 		if t.Locations != nil {
 			loc = t.Locations[sta]
 		}
-		n, err := mac.HeardMask(t.Oracle, loc, !t.StandardEstimate, spans, heard)
+		heard := w.heard[i*total : (i+1)*total]
+		n, err := mac.HeardMask(t.Oracle, loc, !t.StandardEstimate, w.spans, heard)
 		if err != nil {
-			return FECResult{}, err
+			return err
 		}
 		if t.ErasePattern != nil {
 			for j := range heard {
@@ -255,27 +220,112 @@ func (t *CodedOracleTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECR
 			}
 		}
 		res.Direct[i] = heard[i]
-		if heard[i] || n < k {
-			continue
-		}
-		// Enough shards overheard: rebuild the missing ones, then check
-		// the receiver's own shard came back byte-exact.
-		for j := 0; j < total; j++ {
-			if heard[j] {
-				shards[j] = truth[j]
-				continue
-			}
-			if len(t.miss[j]) < shardLen {
-				t.miss[j] = make([]byte, shardLen)
-			}
-			shards[j] = t.miss[j][:shardLen]
-		}
-		if err := rs.ReconstructInto(shards, heard); err != nil {
-			continue // unrecoverable for this receiver: retry path
-		}
-		res.Recovered[i] = bytes.Equal(shards[i], truth[i])
+		res.Recovered[i] = !heard[i] && n >= k
 	}
-	return res, nil
+	return nil
+}
+
+// uncodedResult adapts a plain Deliver verdict to a parity-less coded plan.
+func uncodedResult(ok []bool, err error) (FECResult, error) {
+	if err != nil {
+		return FECResult{}, err
+	}
+	return FECResult{Direct: ok, Recovered: make([]bool, len(ok))}, nil
+}
+
+// fecWork is one DeliverFEC call's working set. A transport pools them, so
+// a steady-state delivery allocates only its result slices and concurrent
+// deliveries never share a buffer or a coder (fec.RS decode scratch is
+// single-user).
+//
+// The slab holds total+1 regions of shardLen bytes: the data shards, each
+// a subframe's payload followed by a cleared pad tail (the zero-padded
+// truth the byte-true compare reads), the parity shards, and one rebuild
+// buffer. air[j] is what subframe j carries on the air and what the ragged
+// coder reads: a data payload at its true length, a parity shard in full.
+type fecWork struct {
+	coders   map[int]*fec.RS
+	rs       *fec.RS    // the staged plan's coder
+	rng      *rand.Rand // size-only filler stream, reseeded per subframe
+	slab     []byte
+	shardLen int
+	air      [][]byte
+	shards   [][]byte         // ReconstructInto's argument
+	spans    []mac.SymbolSpan // the plan's subframe spans
+	heard    []bool           // DataSubs x total reception matrix
+}
+
+// getFECWork takes a working set from a transport's pool (a new one the
+// first time); the caller puts it back when the delivery returns.
+func getFECWork(pool *sync.Pool) *fecWork {
+	if w, ok := pool.Get().(*fecWork); ok {
+		return w
+	}
+	return &fecWork{coders: make(map[int]*fec.RS), rng: rand.New(rand.NewSource(0))}
+}
+
+// shard returns slab region j.
+func (w *fecWork) shard(j int) []byte {
+	return w.slab[j*w.shardLen : (j+1)*w.shardLen : (j+1)*w.shardLen]
+}
+
+// stage copies the plan's payloads straight into the slab, clears only the
+// pad tails, and encodes the parity over the ragged views.
+func (w *fecWork) stage(seed int64, plan *Plan) error {
+	k, total := plan.DataSubs, len(plan.Subs)
+	key := k<<16 | (total - k)
+	if w.rs = w.coders[key]; w.rs == nil {
+		rs, err := fec.NewRS(k, total-k)
+		if err != nil {
+			return err
+		}
+		w.coders[key], w.rs = rs, rs
+	}
+	w.shardLen = plan.Subs[k].Bytes
+	if need := (total + 1) * w.shardLen; cap(w.slab) < need {
+		w.slab = make([]byte, need)
+	} else {
+		w.slab = w.slab[:need]
+	}
+	if cap(w.air) < total {
+		w.air, w.shards = make([][]byte, total), make([][]byte, total)
+		w.spans = make([]mac.SymbolSpan, total)
+	}
+	if cap(w.heard) < k*total {
+		w.heard = make([]bool, k*total)
+	}
+	w.air, w.shards, w.spans, w.heard = w.air[:total], w.shards[:total], w.spans[:total], w.heard[:k*total]
+	for j, sub := range plan.Subs {
+		w.spans[j] = mac.SymbolSpan{Start: sub.StartSym, Num: sub.NumSym}
+		w.air[j] = w.shard(j)
+		if j < k {
+			if sub.Bytes > w.shardLen {
+				return fmt.Errorf("engine: data subframe %d carries %d bytes, parity only %d", j, sub.Bytes, w.shardLen)
+			}
+			fillSubframe(w.air[j][:sub.Bytes], w.rng, seed, plan.Seq, j, sub)
+			clear(w.air[j][sub.Bytes:])
+			w.air[j] = w.air[j][:sub.Bytes]
+		}
+	}
+	return w.rs.EncodeInto(w.air[k:], w.air[:k])
+}
+
+// rebuild reports whether the receiver of data subframe i, having heard
+// the marked shards, reconstructs its own shard byte-true: only that shard
+// is asked of the coder, and it counts only if it equals what was sent.
+func (w *fecWork) rebuild(i int, heard []bool) bool {
+	for j, ok := range heard {
+		w.shards[j] = nil
+		if ok {
+			w.shards[j] = w.air[j]
+		}
+	}
+	out := w.shard(len(heard))
+	w.shards[i] = out
+	if err := w.rs.ReconstructInto(w.shards, heard); err != nil {
+		return false // unrecoverable for this receiver: retry path
+	}
+	return bytes.Equal(out, w.shard(i))
 }
 
 // PHYTransport drives the full TX→channel→RX pipeline for every plan: it
@@ -299,10 +349,8 @@ type PHYTransport struct {
 	// SoftFEC selects the quantized soft-decision receive path.
 	SoftFEC bool
 
-	// fecMu guards the erasure-coder cache and its shared decode scratch
-	// across DeliverFEC's parallel receivers.
-	fecMu  sync.Mutex
-	coders map[int]*fec.RS
+	// work pools DeliverFEC's per-call working sets (see fecWork).
+	work sync.Pool
 }
 
 var _ FECTransport = (*PHYTransport)(nil)
@@ -350,25 +398,6 @@ func (t *PHYTransport) Deliver(ctx context.Context, plan *Plan) ([]bool, error) 
 	return ok, nil
 }
 
-// coder returns the cached RS coder for k data + m parity shards.
-func (t *PHYTransport) coder(k, m int) (*fec.RS, error) {
-	t.fecMu.Lock()
-	defer t.fecMu.Unlock()
-	key := k<<16 | m
-	if rs, ok := t.coders[key]; ok {
-		return rs, nil
-	}
-	rs, err := fec.NewRS(k, m)
-	if err != nil {
-		return nil, err
-	}
-	if t.coders == nil {
-		t.coders = make(map[int]*fec.RS)
-	}
-	t.coders[key] = rs
-	return rs, nil
-}
-
 // DeliverFEC transmits an erasure-coded aggregate end to end: the data
 // subframes plus RS parity subframes (addressed to the reserved
 // ParityMAC slots) travel as one real PHY frame through the fault
@@ -378,50 +407,22 @@ func (t *PHYTransport) coder(k, m int) (*fec.RS, error) {
 func (t *PHYTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECResult, error) {
 	k := plan.DataSubs
 	total := len(plan.Subs)
-	m := total - k
-	if m == 0 {
-		ok, err := t.Deliver(ctx, plan)
-		if err != nil {
-			return FECResult{}, err
-		}
-		return FECResult{Direct: ok, Recovered: make([]bool, len(ok))}, nil
+	if total == k {
+		return uncodedResult(t.Deliver(ctx, plan))
 	}
-	shardLen := plan.Subs[k].Bytes
-	rs, err := t.coder(k, m)
-	if err != nil {
+	w := getFECWork(&t.work)
+	defer t.work.Put(w)
+	if err := w.stage(t.Seed, plan); err != nil {
 		return FECResult{}, err
 	}
-
-	// On-air payloads: real data bytes per subframe, parity over the
-	// zero-padded shards.
-	air := make([][]byte, total)    // what each subframe carries
-	padded := make([][]byte, total) // shard view: air zero-padded to shardLen
 	subs := make([]core.Subframe, total)
-	for i := 0; i < k; i++ {
-		p := subframePayload(t.Seed, plan.Seq, i, plan.Subs[i])
-		air[i] = p
-		padded[i] = p
-		if len(p) < shardLen {
-			pp := make([]byte, shardLen)
-			copy(pp, p)
-			padded[i] = pp
+	for j, sub := range plan.Subs {
+		rcv := ParityMAC(j - k)
+		if j < k {
+			rcv = STAMAC(sub.STA)
 		}
-		subs[i] = core.Subframe{Receiver: STAMAC(plan.Subs[i].STA), MCS: plan.Subs[i].MCS, Payload: p}
+		subs[j] = core.Subframe{Receiver: rcv, MCS: sub.MCS, Payload: w.air[j]}
 	}
-	for j := 0; j < m; j++ {
-		padded[k+j] = make([]byte, shardLen)
-	}
-	t.fecMu.Lock()
-	err = rs.EncodeInto(padded[k:], padded[:k])
-	t.fecMu.Unlock()
-	if err != nil {
-		return FECResult{}, err
-	}
-	for j := 0; j < m; j++ {
-		air[k+j] = padded[k+j]
-		subs[k+j] = core.Subframe{Receiver: ParityMAC(j), MCS: plan.Subs[k+j].MCS, Payload: air[k+j]}
-	}
-
 	frame, err := core.BuildFrame(subs, t.FrameCfg)
 	if err != nil {
 		return FECResult{}, fmt.Errorf("engine: building coded PHY frame: %w", err)
@@ -430,6 +431,9 @@ func (t *PHYTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECResult, e
 	rx := sc.Apply(frame.Samples)
 
 	res := FECResult{Direct: make([]bool, k), Recovered: make([]bool, k)}
+	// The working set has one coder and one rebuild buffer: the parallel
+	// receivers below rebuild one at a time.
+	var rebuildMu sync.Mutex
 	err = sim.ParallelForCtx(ctx, k, func(i int) error {
 		fr, rerr := core.ReceiveFrame(rx, core.ReceiverConfig{
 			MAC:        STAMAC(plan.Subs[i].STA),
@@ -441,46 +445,25 @@ func (t *PHYTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECResult, e
 		if rerr != nil || fr == nil {
 			return nil
 		}
-		// Which shards did this station decode byte-true off the air?
+		// Which shards did this station decode byte-true off the air? A
+		// heard shard equals w.air[j], so the rebuild reads it from there.
 		heard := make([]bool, total)
-		shards := make([][]byte, total)
 		n := 0
 		for _, sf := range fr.Subframes {
 			j := sf.Position - 1
-			if j < 0 || j >= total || heard[j] || !bytes.Equal(sf.Payload, air[j]) {
+			if j < 0 || j >= total || heard[j] || !bytes.Equal(sf.Payload, w.air[j]) {
 				continue
 			}
 			heard[j] = true
 			n++
-			b := sf.Payload
-			if len(b) < shardLen {
-				bb := make([]byte, shardLen)
-				copy(bb, b)
-				b = bb
-			}
-			shards[j] = b
 		}
-		if heard[i] {
-			res.Direct[i] = true
+		res.Direct[i] = heard[i]
+		if heard[i] || n < k {
 			return nil
 		}
-		if n < k {
-			return nil
-		}
-		for j := range shards {
-			if !heard[j] {
-				shards[j] = make([]byte, shardLen)
-			}
-		}
-		// The decode matrices inside rs are shared scratch: one receiver
-		// reconstructs at a time.
-		t.fecMu.Lock()
-		derr := rs.ReconstructInto(shards, heard)
-		t.fecMu.Unlock()
-		if derr != nil {
-			return nil
-		}
-		res.Recovered[i] = bytes.Equal(shards[i], padded[i])
+		rebuildMu.Lock()
+		res.Recovered[i] = w.rebuild(i, heard)
+		rebuildMu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -489,26 +472,34 @@ func (t *PHYTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECResult, e
 	return res, nil
 }
 
-// subframePayload materializes a subframe's on-air bytes: the retained
-// frame payloads concatenated when present, otherwise deterministic
-// pseudo-random filler of the right size (size-only ingest).
+// subframePayload materializes a subframe's on-air bytes.
 func subframePayload(seed int64, txSeq uint64, subIdx int, sub PlanSub) []byte {
-	if len(sub.Payloads) > 0 {
-		out := make([]byte, 0, sub.Bytes)
-		for _, p := range sub.Payloads {
-			out = append(out, p...)
-		}
-		if len(out) == sub.Bytes {
-			return out
-		}
-		// Mixed retained/size-only frames: pad to the accounted size.
-		for len(out) < sub.Bytes {
-			out = append(out, byte(len(out)))
-		}
-		return out[:sub.Bytes]
-	}
 	out := make([]byte, sub.Bytes)
-	rng := rand.New(rand.NewSource(sim.DeriveSeed(seed, int(txSeq)*bloom.MaxReceivers+subIdx)))
-	rng.Read(out)
+	fillSubframe(out, nil, seed, txSeq, subIdx, sub)
 	return out
+}
+
+// fillSubframe writes a subframe's on-air bytes into dst (sub.Bytes long):
+// the retained frame payloads concatenated when present (mixed retained /
+// size-only frames are padded to the accounted size), otherwise
+// deterministic pseudo-random filler (size-only ingest). rng, when non-nil,
+// is reseeded for the filler in place of a fresh generator.
+func fillSubframe(dst []byte, rng *rand.Rand, seed int64, txSeq uint64, subIdx int, sub PlanSub) {
+	if len(sub.Payloads) > 0 {
+		n := 0
+		for _, p := range sub.Payloads {
+			n += copy(dst[n:], p)
+		}
+		for ; n < len(dst); n++ {
+			dst[n] = byte(n)
+		}
+		return
+	}
+	fill := sim.DeriveSeed(seed, int(txSeq)*bloom.MaxReceivers+subIdx)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(fill))
+	} else {
+		rng.Seed(fill)
+	}
+	rng.Read(dst)
 }

@@ -75,8 +75,11 @@ func gfInv(a byte) byte {
 	return gfExp[255-int(gfLog[a])]
 }
 
-// mulAddInto computes dst ^= c * src byte-wise over GF(256). c == 0 is a
-// no-op; c == 1 degenerates to the SWAR XOR used by the plain-XOR parity.
+// mulAddInto computes dst[i] ^= c * src[i] over GF(256) for i < len(src);
+// dst may be longer (the tail is src's implicit zero padding and stays as
+// it is). c == 0 is a no-op; c == 1 degenerates to the plain XOR. The main
+// loop gathers eight table bytes into one word, so dst sees one load, one
+// xor and one store per eight bytes instead of eight of each.
 func mulAddInto(dst, src []byte, c byte) {
 	switch c {
 	case 0:
@@ -85,40 +88,48 @@ func mulAddInto(dst, src []byte, c byte) {
 		xorInto(dst, src)
 		return
 	}
-	row := gfMulTab[int(c)<<8 : int(c)<<8+256]
-	_ = dst[len(src)-1]
-	for i, s := range src {
-		dst[i] ^= row[s]
+	row := (*[256]byte)(gfMulTab[int(c)<<8:])
+	n := len(src)
+	dst = dst[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		s, d := src[i:i+8:i+8], dst[i:i+8:i+8]
+		v := uint64(row[s[0]]) | uint64(row[s[1]])<<8 |
+			uint64(row[s[2]])<<16 | uint64(row[s[3]])<<24 |
+			uint64(row[s[4]])<<32 | uint64(row[s[5]])<<40 |
+			uint64(row[s[6]])<<48 | uint64(row[s[7]])<<56
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^v)
+	}
+	for ; i < n; i++ {
+		dst[i] ^= row[src[i]]
 	}
 }
 
-// mulInto computes dst = c * src.
+// mulInto computes dst = c * src. It only scales decode-matrix rows, a
+// handful of bytes each, so it stays a byte loop.
 func mulInto(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		for i := range dst[:len(src)] {
-			dst[i] = 0
-		}
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
-	row := gfMulTab[int(c)<<8 : int(c)<<8+256]
-	_ = dst[len(src)-1]
+	row := (*[256]byte)(gfMulTab[int(c)<<8:])
+	dst = dst[:len(src)]
 	for i, s := range src {
 		dst[i] = row[s]
 	}
 }
 
-// xorInto computes dst ^= src eight bytes at a time.
+// xorInto computes dst[i] ^= src[i] for i < len(src), 32 bytes per
+// iteration.
 func xorInto(dst, src []byte) {
 	n := len(src)
-	_ = dst[n-1]
+	dst = dst[:n]
 	i := 0
+	for ; i+32 <= n; i += 32 {
+		d, s := dst[i:i+32:i+32], src[i:i+32:i+32]
+		binary.LittleEndian.PutUint64(d[0:], binary.LittleEndian.Uint64(d[0:])^binary.LittleEndian.Uint64(s[0:]))
+		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(d[8:])^binary.LittleEndian.Uint64(s[8:]))
+		binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(d[16:])^binary.LittleEndian.Uint64(s[16:]))
+		binary.LittleEndian.PutUint64(d[24:], binary.LittleEndian.Uint64(d[24:])^binary.LittleEndian.Uint64(s[24:]))
+	}
 	for ; i+8 <= n; i += 8 {
-		v := binary.LittleEndian.Uint64(dst[i:]) ^ binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], v)
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
 	}
 	for ; i < n; i++ {
 		dst[i] ^= src[i]
@@ -155,9 +166,9 @@ type RS struct {
 	// parity[j][i] is the coefficient of data shard i in parity shard j.
 	parity [][]byte
 	// Decode scratch, preallocated so ReconstructInto is zero-alloc.
-	dec  [][]byte // k x k submatrix of the generator, chosen per erasure set
-	inv  [][]byte // its inverse, built by Gauss-Jordan
-	rows []int    // the k present shard indices backing dec's rows
+	dec [][]byte // k x k submatrix of the generator, chosen per erasure set
+	inv [][]byte // its inverse, built by Gauss-Jordan
+	obs [][]byte // the k present shards backing dec's rows
 }
 
 // NewRS builds a coder for dataShards + parityShards <= 256 total shards.
@@ -195,7 +206,7 @@ func NewRS(dataShards, parityShards int) (*RS, error) {
 		r.dec[i] = make([]byte, k)
 		r.inv[i] = make([]byte, k)
 	}
-	r.rows = make([]int, k)
+	r.obs = make([][]byte, k)
 	return r, nil
 }
 
@@ -208,40 +219,61 @@ func (r *RS) ParityShards() int { return r.m }
 // TotalShards returns k+m.
 func (r *RS) TotalShards() int { return r.k + r.m }
 
-// EncodeInto fills parity[0..m) from data[0..k). Every shard must have
-// the same length; parity buffers are overwritten. Zero allocations.
+// EncodeInto fills parity[0..m) from data[0..k). The parity buffers share
+// one length, the shard length, and are overwritten. A data shard may be
+// shorter than that: it is read as if zero-padded to the shard length, so
+// callers coding payloads of unequal size need not materialize the padding.
+// Zero allocations.
 func (r *RS) EncodeInto(parity, data [][]byte) error {
 	if len(data) != r.k || len(parity) != r.m {
 		return fmt.Errorf("fec: EncodeInto got %d data + %d parity shards, coder is %d+%d",
 			len(data), len(parity), r.k, r.m)
 	}
-	n := len(data[0])
-	for _, d := range data {
-		if len(d) != n {
-			return fmt.Errorf("fec: data shard length %d != %d", len(d), n)
-		}
-	}
-	for j, p := range parity {
+	n := len(parity[0])
+	for _, p := range parity {
 		if len(p) != n {
 			return fmt.Errorf("fec: parity shard length %d != %d", len(p), n)
 		}
-		mulInto(p, data[0], r.parity[j][0])
-		for i := 1; i < r.k; i++ {
-			mulAddInto(p, data[i], r.parity[j][i])
+	}
+	for _, d := range data {
+		if len(d) > n {
+			return fmt.Errorf("fec: data shard length %d exceeds parity length %d", len(d), n)
 		}
+	}
+	for j, p := range parity {
+		combineInto(p, data, r.parity[j])
 	}
 	return nil
 }
 
-// ReconstructInto rebuilds every missing shard in place. shards holds all
-// k+m shard buffers (data first, then parity), each of equal length;
-// present[idx] reports whether shards[idx] survived. Missing shards'
-// buffers are overwritten with the reconstructed bytes; present is not
-// modified. If fewer than k shards are present it returns
-// *TooManyErasuresError and leaves the missing buffers untouched.
+// combineInto writes out = sum_i coef[i] * srcs[i], each source read as
+// zero-padded to len(out): out is cleared once and every source
+// accumulates over its own length.
+func combineInto(out []byte, srcs [][]byte, coef []byte) {
+	clear(out)
+	for i, s := range srcs {
+		mulAddInto(out, s, coef[i])
+	}
+}
+
+// ReconstructInto rebuilds missing shards in place. shards holds all k+m
+// shard buffers (data first, then parity); present[idx] reports whether
+// shards[idx] survived; present is not modified.
 //
-// Only present shards are read, so a missing shard's buffer may alias
-// scratch reused across calls.
+// Lengths: every parity buffer and every missing shard's buffer has the
+// shard length. A present data shard may be shorter and is read as
+// zero-padded, as in EncodeInto; a rebuilt data shard comes back at the
+// full shard length, padding included.
+//
+// A missing shard whose buffer is nil is skipped, so a caller that wants
+// one shard back pays for one. Rebuilding a parity shard reads every data
+// shard, so asking for one while a missing data shard's buffer is nil is an
+// error. Other missing buffers are overwritten with the reconstructed
+// bytes; only present shards are read, so a missing shard's buffer may
+// alias scratch reused across calls.
+//
+// If fewer than k shards are present it returns *TooManyErasuresError.
+// Every error is returned before any buffer is written.
 func (r *RS) ReconstructInto(shards [][]byte, present []bool) error {
 	total := r.k + r.m
 	if len(shards) != total || len(present) != total {
@@ -254,18 +286,46 @@ func (r *RS) ReconstructInto(shards [][]byte, present []bool) error {
 			have++
 		}
 	}
-	missingData := false
-	for i := 0; i < r.k; i++ {
-		if !present[i] {
-			missingData = true
-			break
-		}
-	}
 	if have < r.k {
 		return &TooManyErasuresError{Have: have, Need: r.k}
 	}
+	// The shard length is set by the buffers that must be full-length:
+	// parity, and whatever is to be rebuilt.
+	n := -1
+	wantData, wantParity, nilData := false, false, -1
+	for idx, s := range shards {
+		switch {
+		case present[idx] && idx < r.k:
+			continue // ragged; checked against n below
+		case !present[idx] && s == nil:
+			if idx < r.k {
+				nilData = idx
+			}
+			continue
+		case !present[idx] && idx < r.k:
+			wantData = true
+		case !present[idx]:
+			wantParity = true
+		}
+		if n < 0 {
+			n = len(s)
+		} else if len(s) != n {
+			return fmt.Errorf("fec: shard %d length %d != %d", idx, len(s), n)
+		}
+	}
+	if !wantData && !wantParity {
+		return nil
+	}
+	for i := 0; i < r.k; i++ {
+		if present[i] && len(shards[i]) > n {
+			return fmt.Errorf("fec: data shard %d length %d exceeds shard length %d", i, len(shards[i]), n)
+		}
+	}
+	if wantParity && nilData >= 0 {
+		return fmt.Errorf("fec: rebuilding parity needs data shard %d, which is missing and has no buffer", nilData)
+	}
 
-	if missingData {
+	if wantData {
 		// Pick the first k present shards; their generator rows form the
 		// k x k system dec * data = observed.
 		nr := 0
@@ -273,12 +333,10 @@ func (r *RS) ReconstructInto(shards [][]byte, present []bool) error {
 			if !present[idx] {
 				continue
 			}
-			r.rows[nr] = idx
+			r.obs[nr] = shards[idx]
 			row := r.dec[nr]
 			if idx < r.k {
-				for c := 0; c < r.k; c++ {
-					row[c] = 0
-				}
+				clear(row)
 				row[idx] = 1
 			} else {
 				copy(row, r.parity[idx-r.k])
@@ -288,28 +346,19 @@ func (r *RS) ReconstructInto(shards [][]byte, present []bool) error {
 		if err := r.invert(); err != nil {
 			return err
 		}
-		// data[d] = sum_t inv[d][t] * shards[rows[t]].
+		// data[d] = sum_t inv[d][t] * obs[t].
 		for d := 0; d < r.k; d++ {
-			if present[d] {
-				continue
-			}
-			out := shards[d]
-			mulInto(out, shards[r.rows[0]], r.inv[d][0])
-			for t := 1; t < r.k; t++ {
-				mulAddInto(out, shards[r.rows[t]], r.inv[d][t])
+			if !present[d] && shards[d] != nil {
+				combineInto(shards[d], r.obs, r.inv[d])
 			}
 		}
+		clear(r.obs) // hold no caller memory between calls
 	}
 
-	// With all data shards in hand, re-encode any missing parity.
+	// With all data shards in hand, re-encode any wanted missing parity.
 	for j := 0; j < r.m; j++ {
-		if present[r.k+j] {
-			continue
-		}
-		p := shards[r.k+j]
-		mulInto(p, shards[0], r.parity[j][0])
-		for i := 1; i < r.k; i++ {
-			mulAddInto(p, shards[i], r.parity[j][i])
+		if p := shards[r.k+j]; !present[r.k+j] && p != nil {
+			combineInto(p, shards[:r.k], r.parity[j])
 		}
 	}
 	return nil

@@ -10,6 +10,11 @@ import (
 // pattern) tuples through encode + reconstruct. Patterns with at most m
 // erasures must reconstruct every shard bit-exactly; patterns with more
 // must return *TooManyErasuresError and never fabricate bytes.
+//
+// Every tuple runs twice over the same bytes: once with each data shard
+// explicitly zero-padded to the shard length, once ragged (the shard cut
+// at its seed-derived true length, the padding implied). The two must be
+// byte-identical in parity and in every rebuilt shard.
 func FuzzRSRoundTrip(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(64), uint32(0b000101), []byte("carpool parity"))
 	f.Add(uint8(1), uint8(1), uint16(1), uint32(0b01), []byte{0xff})
@@ -24,10 +29,16 @@ func FuzzRSRoundTrip(f *testing.F) {
 			t.Fatalf("NewRS(%d,%d): %v", k, m, err)
 		}
 		total := k + m
-		data := make([][]byte, k)
+		data := make([][]byte, k)   // zero-padded to n
+		ragged := make([][]byte, k) // the same bytes cut at the true length
 		for i := range data {
+			trim := i * 53
+			if len(seed) > 0 {
+				trim = int(seed[i%len(seed)]^byte(i*29)) * 97
+			}
 			data[i] = make([]byte, n)
-			for b := range data[i] {
+			ragged[i] = data[i][:n-trim%(n+1)]
+			for b := range ragged[i] {
 				v := byte(i*131 + b*29)
 				if len(seed) > 0 {
 					v ^= seed[(i+b)%len(seed)]
@@ -35,49 +46,67 @@ func FuzzRSRoundTrip(f *testing.F) {
 				data[i][b] = v
 			}
 		}
-		parity := make([][]byte, m)
+		parity, parityR := make([][]byte, m), make([][]byte, m)
 		for j := range parity {
 			parity[j] = make([]byte, n)
+			parityR[j] = bytes.Repeat([]byte{0xee}, n)
 		}
 		if err := r.EncodeInto(parity, data); err != nil {
 			t.Fatal(err)
 		}
+		if err := r.EncodeInto(parityR, ragged); err != nil {
+			t.Fatal(err)
+		}
+		for j := range parity {
+			if !bytes.Equal(parity[j], parityR[j]) {
+				t.Fatalf("k=%d m=%d: ragged parity %d differs from zero-padded parity", k, m, j)
+			}
+		}
 		truth := append(append([][]byte{}, data...), parity...)
 
-		shards := make([][]byte, total)
+		// shards[0] is the zero-padded call, shards[1] the ragged one.
+		var shards [2][][]byte
+		shards[0], shards[1] = make([][]byte, total), make([][]byte, total)
 		present := make([]bool, total)
 		erased := 0
 		for i := 0; i < total; i++ {
 			if eraseMask&(1<<uint(i%32)) != 0 && i < 32 {
-				shards[i] = bytes.Repeat([]byte{0xee}, n)
+				shards[0][i] = bytes.Repeat([]byte{0xee}, n)
+				shards[1][i] = bytes.Repeat([]byte{0xee}, n)
 				erased++
-			} else {
-				shards[i] = append([]byte(nil), truth[i]...)
-				present[i] = true
+				continue
 			}
+			shards[0][i] = append([]byte(nil), truth[i]...)
+			shards[1][i] = shards[0][i]
+			if i < k {
+				shards[1][i] = shards[0][i][:len(ragged[i])]
+			}
+			present[i] = true
 		}
-		err = r.ReconstructInto(shards, present)
-		if erased > m {
-			var tme *TooManyErasuresError
-			if !errors.As(err, &tme) {
-				t.Fatalf("k=%d m=%d erased=%d: err = %v, want *TooManyErasuresError", k, m, erased, err)
+		for v, sh := range shards {
+			err = r.ReconstructInto(sh, present)
+			if erased > m {
+				var tme *TooManyErasuresError
+				if !errors.As(err, &tme) {
+					t.Fatalf("k=%d m=%d erased=%d: err = %v, want *TooManyErasuresError", k, m, erased, err)
+				}
+				if tme.Have != total-erased || tme.Need != k {
+					t.Fatalf("TooManyErasuresError = %+v, want Have=%d Need=%d", tme, total-erased, k)
+				}
+				for i := 0; i < total; i++ {
+					if !present[i] && !bytes.Equal(sh[i], bytes.Repeat([]byte{0xee}, n)) {
+						t.Fatalf("shard %d written despite unrecoverable erasure set", i)
+					}
+				}
+				continue
 			}
-			if tme.Have != total-erased || tme.Need != k {
-				t.Fatalf("TooManyErasuresError = %+v, want Have=%d Need=%d", tme, total-erased, k)
+			if err != nil {
+				t.Fatalf("k=%d m=%d erased=%d ragged=%v: %v", k, m, erased, v == 1, err)
 			}
 			for i := 0; i < total; i++ {
-				if !present[i] && !bytes.Equal(shards[i], bytes.Repeat([]byte{0xee}, n)) {
-					t.Fatalf("shard %d written despite unrecoverable erasure set", i)
+				if !bytes.Equal(sh[i], truth[i][:len(sh[i])]) {
+					t.Fatalf("k=%d m=%d erased=%d ragged=%v: shard %d differs after reconstruct", k, m, erased, v == 1, i)
 				}
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("k=%d m=%d erased=%d: %v", k, m, erased, err)
-		}
-		for i := 0; i < total; i++ {
-			if !bytes.Equal(shards[i], truth[i]) {
-				t.Fatalf("k=%d m=%d erased=%d: shard %d differs after reconstruct", k, m, erased, i)
 			}
 		}
 	})

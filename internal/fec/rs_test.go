@@ -184,6 +184,170 @@ func TestReconstructZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRaggedMatchesPadded sweeps small codes, ragged length vectors and
+// every erasure set of size <= m: encoding and reconstructing with data
+// shards at their true length must be byte-identical to the same call with
+// each shard explicitly zero-padded; asking for one missing data shard
+// (every other missing buffer nil) must return the bytes the full
+// reconstruct returns; and asking for a parity shard while a missing data
+// shard has no buffer must be an error that writes nothing.
+func TestRaggedMatchesPadded(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(23))
+	for _, km := range [][2]int{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {6, 2}, {5, 3}} {
+		k, m := km[0], km[1]
+		total := k + m
+		r, err := NewRS(k, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lens := range [][]int{{n}, {0}, {n, 0, 7}, {1, n - 1, 8, 9, 33}, {17, 17, 40, 3, 0, 24}} {
+			padded := make([][]byte, k)
+			ragged := make([][]byte, k)
+			for i := range padded {
+				padded[i] = make([]byte, n)
+				ragged[i] = padded[i][:lens[i%len(lens)]]
+				rng.Read(ragged[i])
+			}
+			parity, parityR := randShards(rng, m, n), randShards(rng, m, n)
+			if err := r.EncodeInto(parity, padded); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.EncodeInto(parityR, ragged); err != nil {
+				t.Fatal(err)
+			}
+			truth := append(append([][]byte{}, padded...), parity...)
+			for j := range parity {
+				if !bytes.Equal(parity[j], parityR[j]) {
+					t.Fatalf("k=%d m=%d lens=%v: ragged parity %d differs from padded", k, m, lens, j)
+				}
+			}
+
+			for mask := 1; mask < 1<<total; mask++ {
+				if popcount(mask) > m {
+					continue
+				}
+				present := make([]bool, total)
+				// view builds a reconstruct argument: present shards ragged,
+				// missing ones a canary buffer if wanted, nil otherwise.
+				view := func(want func(idx int) bool) [][]byte {
+					sh := make([][]byte, total)
+					for i := range sh {
+						switch {
+						case mask&(1<<i) == 0 && i < k:
+							present[i] = true
+							sh[i] = ragged[i]
+						case mask&(1<<i) == 0:
+							present[i] = true
+							sh[i] = parity[i-k]
+						case want(i):
+							sh[i] = bytes.Repeat([]byte{0xa5}, n)
+						}
+					}
+					return sh
+				}
+				full := view(func(int) bool { return true })
+				if err := r.ReconstructInto(full, present); err != nil {
+					t.Fatalf("k=%d m=%d lens=%v mask=%b: %v", k, m, lens, mask, err)
+				}
+				for i := range full {
+					if !bytes.Equal(full[i], truth[i][:len(full[i])]) {
+						t.Fatalf("k=%d m=%d lens=%v mask=%b: ragged reconstruct of shard %d is not the padded truth",
+							k, m, lens, mask, i)
+					}
+				}
+				for d := 0; d < total; d++ {
+					if mask&(1<<d) == 0 {
+						continue
+					}
+					one := view(func(idx int) bool { return idx == d })
+					err := r.ReconstructInto(one, present)
+					if d >= k && mask&(1<<k-1) != 0 {
+						// A parity rebuild with a data shard missing and nil.
+						if err == nil {
+							t.Fatalf("k=%d m=%d mask=%b: parity %d rebuilt without data", k, m, mask, d)
+						}
+						if !bytes.Equal(one[d], bytes.Repeat([]byte{0xa5}, n)) {
+							t.Fatalf("k=%d m=%d mask=%b: refused parity rebuild still wrote shard %d", k, m, mask, d)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("k=%d m=%d lens=%v mask=%b want=%d: %v", k, m, lens, mask, d, err)
+					}
+					if !bytes.Equal(one[d], full[d]) {
+						t.Fatalf("k=%d m=%d lens=%v mask=%b: nil-skip reconstruct of shard %d differs from full",
+							k, m, lens, mask, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRaggedRejectsBadLengths pins the length contract's error side.
+func TestRaggedRejectsBadLengths(t *testing.T) {
+	r, err := NewRS(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := func(n int) []byte { return make([]byte, n) }
+	if err := r.EncodeInto([][]byte{b(8), b(8)}, [][]byte{b(9), b(1)}); err == nil {
+		t.Error("EncodeInto accepted a data shard longer than the parity")
+	}
+	if err := r.EncodeInto([][]byte{b(8), b(7)}, [][]byte{b(8), b(8)}); err == nil {
+		t.Error("EncodeInto accepted parity buffers of unequal length")
+	}
+	present := []bool{true, false, true, true}
+	if err := r.ReconstructInto([][]byte{b(9), b(8), b(8), b(8)}, present); err == nil {
+		t.Error("ReconstructInto accepted a present data shard longer than the shard length")
+	}
+	if err := r.ReconstructInto([][]byte{b(3), b(7), b(8), b(8)}, present); err == nil {
+		t.Error("ReconstructInto accepted a rebuild buffer shorter than the parity")
+	}
+}
+
+// TestKernelsMatchByteLoop checks the word-wide mulAddInto and xorInto
+// against one-byte-at-a-time references at every length that mixes their
+// 32-, 8- and 1-byte steps, at every source and destination misalignment,
+// with a destination longer than the source (the ragged case) left alone
+// past len(src).
+func TestKernelsMatchByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	srcBuf, dstBuf := make([]byte, 64), make([]byte, 64)
+	for n := 0; n <= 40; n++ {
+		for so := 0; so < 8; so++ {
+			for do := 0; do < 8; do++ {
+				for _, c := range []byte{0, 1, 2, 0x53, 0xff} {
+					rng.Read(srcBuf)
+					rng.Read(dstBuf)
+					src := srcBuf[so : so+n]
+					dst := dstBuf[do : do+n+3]
+					want := append([]byte(nil), dst...)
+					for i, s := range src {
+						want[i] ^= naiveGFMul(c, s)
+					}
+					mulAddInto(dst, src, c)
+					if !bytes.Equal(dst, want) {
+						t.Fatalf("mulAddInto n=%d src+%d dst+%d c=%#x: got %x want %x", n, so, do, c, dst, want)
+					}
+				}
+				rng.Read(dstBuf)
+				src := srcBuf[so : so+n]
+				dst := dstBuf[do : do+n+3]
+				want := append([]byte(nil), dst...)
+				for i, s := range src {
+					want[i] ^= s
+				}
+				xorInto(dst, src)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("xorInto n=%d src+%d dst+%d: got %x want %x", n, so, do, dst, want)
+				}
+			}
+		}
+	}
+}
+
 func randShards(rng *rand.Rand, n, size int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {

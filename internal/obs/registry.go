@@ -71,12 +71,12 @@ func (g *Gauge) Load() float64 {
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations v with v <= Bounds[i]; one extra overflow bucket counts the
 // rest. Observe is lock-free (atomic adds), so concurrent observation is
-// safe.
+// safe. There is no separate observation count: a snapshot's Count is the
+// sum of the bucket values it read, so the two can never disagree.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Int64 // len(bounds)+1, last is overflow
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
+	sumBits atomic.Uint64  // float64 bits, CAS-accumulated
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -92,7 +92,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		s := math.Float64frombits(old) + v
@@ -226,11 +225,11 @@ func (r *Registry) Snapshot() Snapshot {
 		hs := HistogramSnapshot{
 			Bounds:  h.Bounds(),
 			Buckets: make([]int64, len(h.buckets)),
-			Count:   h.count.Load(),
 			Sum:     math.Float64frombits(h.sumBits.Load()),
 		}
 		for i := range h.buckets {
 			hs.Buckets[i] = h.buckets[i].Load()
+			hs.Count += hs.Buckets[i]
 		}
 		s.Histograms[name] = hs
 	}
