@@ -601,27 +601,6 @@ func BenchmarkViterbiDecodeSoftQ1500B(b *testing.B) {
 	b.SetBytes(1500)
 }
 
-// BenchmarkViterbiDecodeSoftQ8Lane1500B gates the 8-lane SWAR add-compare-
-// select kernel: since the two-word rewrite, SoftDecoder.DecodeInto runs
-// all 16 states as eight packed lanes across two uint64 metric words per
-// rank. The separate name lets benchdiff -fail-over pin the fast path even
-// as the legacy-named benchmark carries its pre-rewrite baseline.
-func BenchmarkViterbiDecodeSoftQ8Lane1500B(b *testing.B) {
-	llrs, numInfo := softBenchLLRs(b)
-	qllrs := make([]int8, len(llrs))
-	fec.QuantizeLLRsInto(qllrs, llrs, 1)
-	var dec fec.SoftDecoder
-	dst := make([]byte, numInfo)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dec.DecodeInto(dst, qllrs, fec.Rate1_2, numInfo); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(1500)
-}
-
 // benchPHYSoftReceive measures the soft-decision receive of a full
 // 1500-byte frame at the top rate, either through the float64 oracle chain
 // or the quantized int8 fast path (the SoftFEC default).
@@ -1022,7 +1001,7 @@ func BenchmarkEngineParallelSubmit16Conns(b *testing.B) { benchEngineParallelSub
 
 // BenchmarkDemapSoftQ64QAM measures the quantized QAM64 soft demapper on
 // one OFDM symbol's 48 data points — the serving path's per-symbol demap
-// cost through the vectorized 4-lane kernel.
+// cost through the per-axis kernel.
 func BenchmarkDemapSoftQ64QAM(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	bits := make([]byte, 48*6)
@@ -1227,6 +1206,42 @@ func BenchmarkCodedDeliverFEC(b *testing.B) {
 	}
 	if b.N >= plans && recovered == 0 {
 		b.Fatal("no shard was rebuilt; the benchmark exercises no reconstruct")
+	}
+}
+
+// BenchmarkPHYDeliver8x300B is one phy_sat transmission end to end on
+// PHYTransport: a full eight-receiver plan of thirteen retained 300-byte
+// frames (what a lane of eight stations fits under the 4095 B PLCP limit)
+// is built into a real frame, passed through the clean channel, and
+// received by all eight stations on the quantized soft path, each payload
+// compared byte-true.
+func BenchmarkPHYDeliver8x300B(b *testing.B) {
+	const frameBytes, frames = 300, 13
+	rng := rand.New(rand.NewSource(8))
+	plan := &engine.Plan{Seq: 1, Subs: make([]engine.PlanSub, bloom.MaxReceivers)}
+	for f := 0; f < frames; f++ {
+		p := make([]byte, frameBytes)
+		rng.Read(p)
+		sub := &plan.Subs[f%len(plan.Subs)]
+		sub.STA, sub.MCS = f%len(plan.Subs), phy.MCS48
+		sub.Payloads = append(sub.Payloads, p)
+		sub.Bytes += frameBytes
+	}
+	tr := &engine.PHYTransport{Seed: 1, SoftFEC: true}
+	ctx := context.Background()
+	b.SetBytes(frameBytes * frames)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ok, err := tr.Deliver(ctx, plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, v := range ok {
+			if !v {
+				b.Fatalf("subframe %d lost on a clean channel", j)
+			}
+		}
 	}
 }
 

@@ -33,22 +33,23 @@ import (
 )
 
 // suite is the default benchmark set: the size-64 FFT kernel, the Viterbi
-// decoders on a full 1500-byte MPDU (hard, float64 soft, the quantized
-// int8 fast path, and its 8-lane SWAR gate), one station's whole-frame
-// Carpool receive, one simulated second of the MAC, and the real-time
-// engine's deterministic second, concurrent submit+drain (per-frame and
-// batched), and the batched wire round trip over loopback TCP. The
+// decoders on a full 1500-byte MPDU (hard, float64 soft, and the quantized
+// int8 fast path), one station's whole-frame Carpool receive, one
+// simulated second of the MAC, and the real-time engine's deterministic
+// second, concurrent submit+drain (per-frame and batched), and the
+// batched wire round trip over loopback TCP. The
 // observability arm pins what telemetry costs: the deterministic second
 // with 1-in-8 lifecycle sampling, a Stats snapshot on a populated engine,
 // and one ring-tracer emission. The parallel-submit family drives the
 // same fixed workload through 1, 4, and 16 concurrent submitters — the
 // sharded-admission scalability gate — and BenchmarkDemapSoftQ64QAM pins
-// the vectorized quantized demap kernel on one OFDM symbol. The erasure
+// the per-axis quantized demap kernel on one OFDM symbol. The erasure
 // arm gates the GF(256) Reed-Solomon kernels (encode over 4- and
 // 16-subframe aggregates, worst-case two-erasure reconstruct, ragged
 // encode over a 6+2 aggregate of unequal shards) at zero allocations per
-// op, and one whole coded delivery on the oracle transport at two. The
-// cluster arm covers multi-AP serving: the same
+// op, and one whole coded delivery on the oracle transport likewise.
+// BenchmarkPHYDeliver8x300B is one phy_sat transmission end to end on
+// PHYTransport. The cluster arm covers multi-AP serving: the same
 // 10k-frame submit+drain routed across 4 and 16 APs by the lock-free
 // STA→AP map, and one Pick/Observe cycle of the learning spatial-reuse
 // scheduler.
@@ -57,7 +58,6 @@ var suite = []string{
 	"BenchmarkViterbiDecode1500B",
 	"BenchmarkViterbiDecodeSoft1500B",
 	"BenchmarkViterbiDecodeSoftQ1500B",
-	"BenchmarkViterbiDecodeSoftQ8Lane1500B",
 	"BenchmarkCarpoolFrameReceive",
 	"BenchmarkMACSimulationSecond",
 	"BenchmarkEngineDeterministicSecond",
@@ -76,6 +76,7 @@ var suite = []string{
 	"BenchmarkRSReconstruct",
 	"BenchmarkRSEncodeRagged6x2",
 	"BenchmarkCodedDeliverFEC",
+	"BenchmarkPHYDeliver8x300B",
 	"BenchmarkClusterSubmitDrain4AP",
 	"BenchmarkClusterSubmitDrain16AP",
 	"BenchmarkBanditSchedulerStep",

@@ -108,7 +108,16 @@ func BuildFrame(subframes []Subframe, cfg FrameConfig) (*Frame, error) {
 		return nil, err
 	}
 
-	frame := &Frame{Filter: filter, Hashes: cfg.hashes()}
+	// The length is known before the first sample: size Samples once.
+	symbols := AHDRSymbols
+	for _, sf := range subframes {
+		symbols += 1 + sf.MCS.NumSymbols(len(sf.Payload))
+	}
+	frame := &Frame{
+		Filter: filter, Hashes: cfg.hashes(),
+		Samples:   make([]complex128, 0, ofdm.PreambleLen+symbols*ofdm.SymbolLen),
+		Subframes: make([]SubframeTx, 0, len(subframes)),
+	}
 	frame.Samples = append(frame.Samples, ofdm.GeneratePreamble()...)
 	ahdr, err := BuildAHDR(filter)
 	if err != nil {
@@ -135,12 +144,12 @@ func BuildFrame(subframes []Subframe, cfg FrameConfig) (*Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		samples, sideBits, err := phy.BuildDataSymbols(tx.Blocks, sf.MCS.Mod, symIdx, scheme)
+		at := len(frame.Samples)
+		frame.Samples = frame.Samples[:at+len(tx.Blocks)*ofdm.SymbolLen]
+		tx.SideBits, err = phy.BuildDataSymbolsInto(frame.Samples[at:], tx.Blocks, sf.MCS.Mod, symIdx, scheme)
 		if err != nil {
 			return nil, err
 		}
-		tx.SideBits = sideBits
-		frame.Samples = append(frame.Samples, samples...)
 		symIdx += len(tx.Blocks)
 		frame.Subframes = append(frame.Subframes, tx)
 	}

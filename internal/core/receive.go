@@ -108,13 +108,22 @@ type FrameRx struct {
 // stations' payloads — and decode every matched subframe, with RTE
 // recalibrating the channel estimate inside each one.
 func ReceiveFrame(rx []complex128, cfg ReceiverConfig) (*FrameRx, error) {
-	sink := obs.Active()
-	sink.Counter("core.frames_rx").Inc()
-	buf, h, cfo, status := phy.Sync(rx, cfg.KnownStart)
-	res := &FrameRx{Status: status, CFORad: cfo}
+	obs.Active().Counter("core.frames_rx").Inc()
+	src, h, status := phy.Acquire(rx, cfg.KnownStart)
+	res := &FrameRx{Status: status, CFORad: src.CFORad}
 	if status != phy.StatusOK {
 		return res, nil
 	}
+	return receiveSynced(src, h, cfg, res)
+}
+
+// receiveSynced is ReceiveFrame past acquisition. The frame is never copied
+// or corrected as a whole: every symbol read below is derotated on its way
+// into the FFT, so the station pays for the A-HDR, the SIGs up to its slot
+// and its own subframes, and for nothing it skips.
+func receiveSynced(src phy.Synced, h []complex128, cfg ReceiverConfig, res *FrameRx) (*FrameRx, error) {
+	sink := obs.Active()
+	buf := src.Samples
 
 	// A-HDR: two standard-equalized, phase-compensated BPSK symbols. The
 	// demodulation scratch lives on the stack; only the slice headers into
@@ -128,7 +137,7 @@ func ReceiveFrame(rx []complex128, cfg ReceiverConfig) (*FrameRx, error) {
 			res.Status = phy.StatusTruncated
 			return res, nil
 		}
-		if err := ofdm.SymbolBinsInto(bins[:], buf[off:]); err != nil {
+		if err := src.BinsInto(bins[:], off); err != nil {
 			return nil, err
 		}
 		if err := ofdm.Equalize(bins[:], h); err != nil {
@@ -183,7 +192,7 @@ func ReceiveFrame(rx []complex128, cfg ReceiverConfig) (*FrameRx, error) {
 			break // clean end of frame: no SIG symbol left to walk
 		}
 		sigOff := ofdm.PreambleLen + symIdx*ofdm.SymbolLen
-		sig, sigPhase, err := phy.DecodeSIGAt(buf, h, sigOff, symIdx)
+		sig, sigPhase, err := src.DecodeSIGAt(h, sigOff, symIdx)
 		if err != nil {
 			// Without a valid SIG the rest of the frame cannot be located.
 			badSIG = true
@@ -234,7 +243,7 @@ func ReceiveFrame(rx []complex128, cfg ReceiverConfig) (*FrameRx, error) {
 		// and tracker side effects exactly).
 		n := len(jobs)
 		for i := range jobs {
-			subs[i], llrqs[i], truncs[i], errs[i] = demodSubframe(buf, h, jobs[i], scheme, cfg)
+			subs[i], llrqs[i], truncs[i], errs[i] = demodSubframe(src, h, jobs[i], scheme, cfg)
 			if (errs[i] != nil || truncs[i] >= 0) && i < n {
 				n = i
 			}
@@ -258,7 +267,7 @@ func ReceiveFrame(rx []complex128, cfg ReceiverConfig) (*FrameRx, error) {
 		}
 	} else {
 		sim.ParallelFor(len(jobs), func(i int) {
-			subs[i], truncs[i], errs[i] = decodeSubframe(buf, h, jobs[i], scheme, cfg)
+			subs[i], truncs[i], errs[i] = decodeSubframe(src, h, jobs[i], scheme, cfg)
 		})
 	}
 	for i := range jobs {
@@ -284,7 +293,7 @@ func ReceiveFrame(rx []complex128, cfg ReceiverConfig) (*FrameRx, error) {
 	return res, nil
 }
 
-// subframeJob locates one matched subframe inside a synchronized buffer:
+// subframeJob locates one matched subframe inside a located frame:
 // everything phase 2 needs to decode it independently of its neighbors.
 type subframeJob struct {
 	pos, sigSymIdx, dataSymIdx, nsym int
@@ -303,7 +312,7 @@ var softQPool = sync.Pool{New: func() any { return new(phy.SoftQDecoder) }}
 // counters, so distinct jobs demodulate safely in parallel. The int result
 // reports truncation: -1 for a complete subframe, otherwise the absolute
 // symbol index of the first DATA symbol the buffer ended inside of.
-func demodSubframe(buf, h []complex128, job subframeJob, scheme *sidechannel.Scheme, cfg ReceiverConfig) (SubframeRx, [][]int8, int, error) {
+func demodSubframe(src phy.Synced, h []complex128, job subframeJob, scheme *sidechannel.Scheme, cfg ReceiverConfig) (SubframeRx, [][]int8, int, error) {
 	var tracker phy.ChannelTracker
 	var rte *RTETracker
 	if cfg.UseRTE {
@@ -316,15 +325,8 @@ func demodSubframe(buf, h []complex128, job subframeJob, scheme *sidechannel.Sch
 
 	dataOff := ofdm.PreambleLen + job.dataSymIdx*ofdm.SymbolLen
 	soft := cfg.SoftFEC && !cfg.SkipFEC
-	var seg *phy.Segment
-	var err error
-	if soft {
-		seg, err = phy.DecodeDataSymbolsQ(buf, dataOff, job.dataSymIdx, job.nsym,
-			job.sig.MCS.Mod, tracker, scheme, job.sigPhase)
-	} else {
-		seg, err = phy.DecodeDataSymbols(buf, dataOff, job.dataSymIdx, job.nsym,
-			job.sig.MCS.Mod, tracker, scheme, job.sigPhase)
-	}
+	seg, err := src.DecodeDataSymbols(dataOff, job.dataSymIdx, job.nsym,
+		job.sig.MCS.Mod, tracker, scheme, job.sigPhase, soft)
 	if err != nil {
 		return SubframeRx{}, nil, -1, err
 	}
@@ -349,8 +351,8 @@ func demodSubframe(buf, h []complex128, job subframeJob, scheme *sidechannel.Sch
 // decodeSubframe demodulates and (unless SkipFEC) FEC-decodes one located
 // subframe; the batched phase-2 path calls demodSubframe directly and
 // defers FEC to one slab decode.
-func decodeSubframe(buf, h []complex128, job subframeJob, scheme *sidechannel.Scheme, cfg ReceiverConfig) (SubframeRx, int, error) {
-	sub, llrqs, trunc, err := demodSubframe(buf, h, job, scheme, cfg)
+func decodeSubframe(src phy.Synced, h []complex128, job subframeJob, scheme *sidechannel.Scheme, cfg ReceiverConfig) (SubframeRx, int, error) {
+	sub, llrqs, trunc, err := demodSubframe(src, h, job, scheme, cfg)
 	if err != nil || trunc >= 0 {
 		return sub, trunc, err
 	}

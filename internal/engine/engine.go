@@ -864,6 +864,11 @@ func (e *Engine) nextPlan(rot *int, sc *planScratch) *pendingTx {
 func (e *Engine) worker(rot int) {
 	defer e.wg.Done()
 	var sc planScratch
+	var hold *time.Timer // PaceAirtime's: one per worker, rearmed per transmission
+	if e.cfg.PaceAirtime {
+		hold = time.NewTimer(0)
+		defer hold.Stop()
+	}
 	for {
 		if e.ctx.Err() != nil {
 			return
@@ -904,7 +909,7 @@ func (e *Engine) worker(rot int) {
 			okPerSub, tx.recovered, derr = e.deliver(e.ctx, &tx.plan)
 		}
 		if e.cfg.PaceAirtime {
-			e.pace(tx.plan.Airtime + tx.plan.ACKTime)
+			e.pace(hold, tx.plan.Airtime+tx.plan.ACKTime)
 		}
 
 		sh := &e.shards[tx.shard]
@@ -924,12 +929,13 @@ func (e *Engine) worker(rot int) {
 	}
 }
 
-// pace holds the worker for the plan's air occupancy, honouring shutdown.
-func (e *Engine) pace(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
+// pace holds the worker for the plan's air occupancy on the worker's own
+// timer, honouring shutdown. (Reset drops whatever an earlier setting left
+// in the channel, so the timer needs no draining between transmissions.)
+func (e *Engine) pace(hold *time.Timer, d time.Duration) {
+	hold.Reset(d)
 	select {
-	case <-t.C:
+	case <-hold.C:
 	case <-e.ctx.Done():
 	}
 }

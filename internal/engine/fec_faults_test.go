@@ -49,7 +49,8 @@ func codedFrame(t *testing.T, tr *PHYTransport, plan *Plan) *core.Frame {
 	padded := make([][]byte, total)
 	subs := make([]core.Subframe, total)
 	for i := 0; i < k; i++ {
-		p := subframePayload(tr.Seed, plan.Seq, i, plan.Subs[i])
+		p := make([]byte, plan.Subs[i].Bytes)
+		fillSubframe(p, nil, tr.Seed, plan.Seq, i, plan.Subs[i])
 		subs[i] = core.Subframe{Receiver: STAMAC(plan.Subs[i].STA), MCS: plan.Subs[i].MCS, Payload: p}
 		if len(p) < shardLen {
 			pp := make([]byte, shardLen)

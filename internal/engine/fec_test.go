@@ -437,12 +437,13 @@ func hashErase(seq uint64, sta, shard int, _ bool) bool {
 
 // TestCodedDeliverFECConcurrent runs many goroutines through one
 // transport's DeliverFEC at once (the engine's workers, exaggerated) and
-// checks every plan's verdict equals the sequential pass. The hooks bump
-// plain counters: they are promised the transport's lock, and -race (the
-// CI engine-soak leg) reports it if they lose it.
+// checks every plan's verdict equals the sequential pass. Each goroutine
+// delivers its own copy of the plans, as each worker delivers the plan in
+// its own scratch: a plan owns its verdict storage. The hooks bump plain
+// counters: they are promised the transport's lock, and -race (the CI
+// engine-soak leg) reports it if they lose it.
 func TestCodedDeliverFECConcurrent(t *testing.T) {
-	const workers, rounds = 8, 6
-	plans := codedTestPlans(24)
+	const workers, rounds, numPlans = 8, 6, 24
 	ctx := context.Background()
 	eraseCalls, corruptCalls := 0, 0
 	tr := &CodedOracleTransport{
@@ -453,14 +454,15 @@ func TestCodedDeliverFECConcurrent(t *testing.T) {
 		},
 		CorruptParity: func([][]byte) { corruptCalls++ },
 	}
-	want := make([]FECResult, len(plans))
+	want := make([]FECResult, numPlans)
 	recovered := 0
-	for i, p := range plans {
-		var err error
-		if want[i], err = tr.DeliverFEC(ctx, p); err != nil {
+	for i, p := range codedTestPlans(numPlans) {
+		res, err := tr.DeliverFEC(ctx, p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range want[i].Recovered {
+		want[i] = res // p is delivered once, so its verdicts stay put
+		for _, r := range res.Recovered {
 			if r {
 				recovered++
 			}
@@ -476,6 +478,7 @@ func TestCodedDeliverFECConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			plans := codedTestPlans(numPlans)
 			for r := 0; r < rounds; r++ {
 				for n := range plans {
 					i := (n + w*5) % len(plans) // each worker starts elsewhere
@@ -493,16 +496,16 @@ func TestCodedDeliverFECConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := 1 + workers*rounds; eraseCalls != n*seqErase || corruptCalls != n*len(plans) {
+	if n := 1 + workers*rounds; eraseCalls != n*seqErase || corruptCalls != n*numPlans {
 		t.Errorf("hooks ran %d / %d times, want %d / %d: an update was lost outside the lock",
-			eraseCalls, corruptCalls, n*seqErase, n*len(plans))
+			eraseCalls, corruptCalls, n*seqErase, n*numPlans)
 	}
 }
 
 // TestCodedDeliverFECSteadyStateAllocs pins the staging contract: once the
-// pooled working set has seen a geometry, a delivery — payload copies,
-// parity, rebuilds and all — allocates its two result slices and nothing
-// else.
+// pooled working set has seen a geometry and the plan has grown its verdict
+// buffer, a delivery — payload copies, parity, rebuilds, result slices and
+// all — allocates nothing.
 func TestCodedDeliverFECSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -518,7 +521,30 @@ func TestCodedDeliverFECSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	deliverAll() // warm the working set: slab, coders, slices
-	if avg := testing.AllocsPerRun(50, deliverAll); avg != float64(2*len(plans)) {
-		t.Errorf("DeliverFEC allocates %.2f per delivery, want 2 (Direct and Recovered)", avg/float64(len(plans)))
+	if avg := testing.AllocsPerRun(50, deliverAll); avg != 0 {
+		t.Errorf("DeliverFEC allocates %.2f per delivery, want 0", avg/float64(len(plans)))
+	}
+}
+
+// TestOracleDeliverSteadyStateAllocs pins the same for the plain path: a
+// reused plan hands Deliver its verdict slice, so nothing is allocated.
+func TestOracleDeliverSteadyStateAllocs(t *testing.T) {
+	plan := codedTestPlans(1)[0]
+	ctx := context.Background()
+	lossy, err := mac.NewFixedOracle(0.7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*OracleTransport{{}, {Oracle: lossy}} {
+		deliver := func() {
+			ok, err := tr.Deliver(ctx, plan)
+			if err != nil || len(ok) != len(plan.Subs) {
+				t.Fatalf("Deliver = %v, %v", ok, err)
+			}
+		}
+		deliver() // the plan grows its verdict buffer once
+		if avg := testing.AllocsPerRun(100, deliver); avg != 0 {
+			t.Errorf("oracle %v: Deliver allocates %.2f on a reused plan, want 0", tr.Oracle, avg)
+		}
 	}
 }

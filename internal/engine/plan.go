@@ -49,6 +49,32 @@ type Plan struct {
 	// len(Subs) so retry-mode plans (and hand-built test plans) need not
 	// set it.
 	DataSubs int
+
+	// verdicts backs Verdicts: with the plan it lives in a worker's
+	// scratch, so a steady-state delivery allocates no result slice.
+	verdicts []bool
+}
+
+// Verdicts returns n cleared delivery verdicts in storage the plan owns —
+// what a Transport hands back from Deliver. The slice is good until the
+// plan is delivered again or its scratch builds the next plan, which is
+// as long as the engine looks at an outcome; one goroutine delivers a
+// plan at a time.
+func (p *Plan) Verdicts(n int) []bool {
+	if cap(p.verdicts) < n {
+		p.verdicts = make([]bool, n)
+	}
+	v := p.verdicts[:n]
+	clear(v)
+	return v
+}
+
+// fecVerdicts is Verdicts for an erasure-coded delivery: Direct and
+// Recovered are the two halves of one buffer.
+func (p *Plan) fecVerdicts() FECResult {
+	k := p.DataSubs
+	v := p.Verdicts(2 * k)
+	return FECResult{Direct: v[:k:k], Recovered: v[k:]}
 }
 
 // pushSub appends sub, handing it the Payloads capacity the slot held in

@@ -20,7 +20,8 @@ import (
 // Deliver calls from the engine's worker pool.
 type Transport interface {
 	// Deliver transmits plan and returns one delivery verdict per
-	// plan.Subs entry. A non-nil error is a transport-level failure; the
+	// plan.Subs entry (plan.Verdicts supplies the slice without
+	// allocating). A non-nil error is a transport-level failure; the
 	// engine treats every subframe of that plan as undelivered (retry
 	// path) and keeps running.
 	Deliver(ctx context.Context, plan *Plan) ([]bool, error)
@@ -92,7 +93,7 @@ type OracleTransport struct {
 func (t *OracleTransport) Deliver(_ context.Context, plan *Plan) ([]bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ok := make([]bool, len(plan.Subs))
+	ok := plan.Verdicts(len(plan.Subs))
 	for i, sub := range plan.Subs {
 		if t.Oracle == nil {
 			ok[i] = true
@@ -137,7 +138,7 @@ type CodedOracleTransport struct {
 	OracleTransport
 
 	// Seed parameterizes the deterministic size-only shard filler
-	// (matching PHYTransport's subframePayload convention).
+	// (fillSubframe, as PHYTransport uses it).
 	Seed int64
 	// ErasePattern, when non-nil, erases individual shard receptions on
 	// top of the oracle verdicts: reception of shard index shard by
@@ -177,7 +178,7 @@ func (t *CodedOracleTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECR
 	if err := w.stage(t.Seed, plan); err != nil {
 		return FECResult{}, err
 	}
-	res := FECResult{Direct: make([]bool, k), Recovered: make([]bool, k)}
+	res := plan.fecVerdicts()
 	if err := t.hear(plan, w, res); err != nil {
 		return FECResult{}, err
 	}
@@ -234,9 +235,8 @@ func uncodedResult(ok []bool, err error) (FECResult, error) {
 }
 
 // fecWork is one DeliverFEC call's working set. A transport pools them, so
-// a steady-state delivery allocates only its result slices and concurrent
-// deliveries never share a buffer or a coder (fec.RS decode scratch is
-// single-user).
+// a steady-state delivery allocates nothing and concurrent deliveries never
+// share a buffer or a coder (fec.RS decode scratch is single-user).
 //
 // The slab holds total+1 regions of shardLen bytes: the data shards, each
 // a subframe's payload followed by a cleared pad tail (the zero-padded
@@ -357,11 +357,17 @@ var _ FECTransport = (*PHYTransport)(nil)
 
 // Deliver builds, impairs, and decodes one aggregate end to end.
 func (t *PHYTransport) Deliver(ctx context.Context, plan *Plan) ([]bool, error) {
+	total := 0
+	for _, sub := range plan.Subs {
+		total += sub.Bytes
+	}
+	onAir := make([]byte, total) // every subframe's payload, back to back
 	subs := make([]core.Subframe, len(plan.Subs))
-	payloads := make([][]byte, len(plan.Subs))
 	for i, sub := range plan.Subs {
-		payloads[i] = subframePayload(t.Seed, plan.Seq, i, sub)
-		subs[i] = core.Subframe{Receiver: STAMAC(sub.STA), MCS: sub.MCS, Payload: payloads[i]}
+		payload := onAir[:sub.Bytes:sub.Bytes]
+		onAir = onAir[sub.Bytes:]
+		fillSubframe(payload, nil, t.Seed, plan.Seq, i, sub)
+		subs[i] = core.Subframe{Receiver: STAMAC(sub.STA), MCS: sub.MCS, Payload: payload}
 	}
 	frame, err := core.BuildFrame(subs, t.FrameCfg)
 	if err != nil {
@@ -373,10 +379,10 @@ func (t *PHYTransport) Deliver(ctx context.Context, plan *Plan) ([]bool, error) 
 	// Every receiver hears the same samples; decode failures (truncated
 	// subframes, sync loss, FEC residue) are delivery failures for that
 	// receiver's subframes, never transport errors.
-	ok := make([]bool, len(plan.Subs))
+	ok := plan.Verdicts(len(plan.Subs))
 	err = sim.ParallelForCtx(ctx, len(plan.Subs), func(i int) error {
 		res, rerr := core.ReceiveFrame(rx, core.ReceiverConfig{
-			MAC:        STAMAC(plan.Subs[i].STA),
+			MAC:        subs[i].Receiver,
 			UseRTE:     true,
 			KnownStart: 0,
 			SoftFEC:    t.SoftFEC,
@@ -385,7 +391,7 @@ func (t *PHYTransport) Deliver(ctx context.Context, plan *Plan) ([]bool, error) 
 			return nil
 		}
 		for _, sf := range res.Subframes {
-			if sf.Position == i+1 && bytes.Equal(sf.Payload, payloads[i]) {
+			if sf.Position == i+1 && bytes.Equal(sf.Payload, subs[i].Payload) {
 				ok[i] = true
 				break
 			}
@@ -430,7 +436,7 @@ func (t *PHYTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECResult, e
 	sc := faults.Scenario{Seed: sim.DeriveSeed(t.Seed, int(plan.Seq)), Impairments: t.Impair}
 	rx := sc.Apply(frame.Samples)
 
-	res := FECResult{Direct: make([]bool, k), Recovered: make([]bool, k)}
+	res := plan.fecVerdicts()
 	// The working set has one coder and one rebuild buffer: the parallel
 	// receivers below rebuild one at a time.
 	var rebuildMu sync.Mutex
@@ -470,13 +476,6 @@ func (t *PHYTransport) DeliverFEC(ctx context.Context, plan *Plan) (FECResult, e
 		return FECResult{}, err
 	}
 	return res, nil
-}
-
-// subframePayload materializes a subframe's on-air bytes.
-func subframePayload(seed int64, txSeq uint64, subIdx int, sub PlanSub) []byte {
-	out := make([]byte, sub.Bytes)
-	fillSubframe(out, nil, seed, txSeq, subIdx, sub)
-	return out
 }
 
 // fillSubframe writes a subframe's on-air bytes into dst (sub.Bytes long):

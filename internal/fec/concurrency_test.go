@@ -52,7 +52,7 @@ func TestCachedInterleaverConcurrent(t *testing.T) {
 }
 
 // TestSoftDecoderConcurrentInstances runs independent SoftDecoder instances
-// in parallel over the shared init-built LUTs (pairCost, butterflyOut,
+// in parallel over the shared init-built tables (laneA, laneB, statePos,
 // branchOut), the usage pattern of the parallel subframe receive path.
 func TestSoftDecoderConcurrentInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))

@@ -3,6 +3,7 @@ package fec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Quantized soft decoding.
@@ -18,35 +19,39 @@ import (
 // hot path. Three things make it fast:
 //
 //  1. uint16 path metrics with periodic renormalization. Branch metrics are
-//     at most 256 per step (|la|+|lb| of two int8 LLRs), and the metric
-//     spread across the 64 states is bounded by 6*256 = 1536 once every
-//     state is reachable (any state is 6 hops from the minimum-metric
-//     state). Subtracting the running minimum every renormInterval steps
-//     therefore keeps every metric below 1536 + 64*256 = 17920, safely
-//     inside the < 2^15 headroom the SWAR comparison below requires.
+//     at most 256 per step (|la|+|lb| of two int8 LLRs, and |-128| is 128),
+//     and the metric spread across the 64 states is bounded by 6*256 = 1536
+//     once every state is reachable (any state is 6 hops from the
+//     minimum-metric state). Subtracting the running minimum every
+//     renormInterval steps therefore keeps every metric below
+//     1536 + 64*256 = 17920, safely inside the < 2^15 headroom the SWAR
+//     comparison below requires.
 //
-//  2. A 256-entry cost LUT indexed by the quantized LLR's bit pattern
-//     (sign/magnitude): pairCost[uint8(l)] packs cost(coded bit 0) in the
-//     low half-word and cost(coded bit 1) in the high half-word, so the
-//     per-step 4-entry output-pair cost table is built from two loads and
-//     four adds with no per-bit branches and no precision loss.
+//  2. Four states per uint64 (16-bit lanes, 16 words), in a layout that
+//     rotates with the trellis. The step from t to t+1 reads predecessors
+//     p and p+32 and writes successors 2p and 2p+1, an even/odd interleave
+//     that a fixed layout pays for with a shuffle per step. Keeping state
+//     s of step t at position rotr6^(t mod 6)(s) — the 6-bit state rotated
+//     right once per step — puts 2p exactly where p was and 2p+1 where
+//     p+32 was, so every step updates the metrics in place: four
+//     butterflies take X (four low predecessors) and Y (their high
+//     partners, same lanes) to E = min(X+C, Y+C') in X's place and
+//     O = min(X+C', Y+C) in Y's. X and Y are two words whose index differs
+//     in bit 3, 2, 1, 0 in phases 0..3; in phases 4 and 5 they are two
+//     lanes of one word and Y comes from a 32-bit rotate or an
+//     adjacent-lane swap of the word itself.
 //
-//  3. An 8-lane SWAR add-compare-select: the trellis is walked as 16
-//     butterflies of 4 next states whose path metrics are packed
-//     4-per-uint64 (16-bit lanes), and the metric array itself is stored as
-//     16 such words, so each loop iteration advances two adjacent
-//     butterflies — 8 next-state lanes across two independent words. One
-//     word load supplies both butterflies' low (or high) predecessors, the
-//     two candidate metric vectors are formed with lane-broadcast
-//     multiplies, the branch costs come from a 16-entry per-step table of
-//     packed cost words (indexed by the two butterfly branch outputs, with
-//     the complemented layout at index^15 — the K=7 generators both have
-//     their newest- and oldest-bit taps set, so the second predecessor's
-//     outputs are always the bitwise complement), and the lane-wise
-//     compare/selects resolve in a handful of word ops using the high-bit
-//     borrow trick. The two words per iteration carry no data dependency,
-//     so their add-compare-select chains retire in parallel, and the
-//     selected words store back directly with no uint16 repacking.
+//  3. Branch costs without a per-step table. The K=7 generators both tap
+//     the newest and the oldest register bit, so the four branches of a
+//     butterfly emit o, ^o, ^o, o: C is the cost of o and C' = total - C.
+//     One of a coded bit's two costs is always zero, so
+//     C = |la|·[A bit of o contradicts la] + |lb|·[B bit contradicts lb],
+//     which for a whole word is two ANDs of a broadcast magnitude with an
+//     init-time lane mask (laneA/laneB, by phase, LLR sign and word).
+//
+// The lane-wise compare/selects resolve in a handful of word ops using the
+// high-bit borrow trick. Survivor bits are stored in layout order (bit
+// 16*lane+word) and read back through statePos, as is the final metric scan.
 //
 // Tie-breaking matches ViterbiDecode and ViterbiDecodeSoft: on equal
 // metrics the low predecessor (state>>1) wins, so all three decoders walk
@@ -60,44 +65,54 @@ const (
 	initialMetric = 0x3000
 	swarHigh      = 0x8000800080008000
 	swarOnes      = 0x0001000100010001
-	// swarPair broadcasts one 16-bit lane into the two low lanes; shifted
-	// left 32 it fills the two high lanes — the a|a<<16|b<<32|b<<48 layout
-	// the butterfly's candidate vectors need.
-	swarPair = 0x0000000000010001
 	// numMetricWords is the packed metric array length: 64 states, 4
-	// 16-bit lanes per word. Word w holds states 4w..4w+3.
+	// 16-bit lanes per word.
 	numMetricWords = numStates / 4
+	// numPhases is the layout period: six one-bit rotations of a 6-bit
+	// state are the identity.
+	numPhases = constraintLen - 1
+
+	// stepLanePairs compares a word with its own lane permutation.
+	// tieLanes carries the strict-compare +1 only where the permuted word
+	// is the high predecessor (a tie keeps the low one); flipBits inverts
+	// the survivor bits of the other lanes, where "permuted word selected"
+	// means the low predecessor won.
+	tieLanes4 = 0x0000000000010001 // lanes 0,1 hold low predecessors
+	tieLanes5 = 0x0000000100000001 // lanes 0,2
+	flipBits4 = 0xffffffff00000000 // survivor bits of lanes 2,3
+	flipBits5 = 0xffff0000ffff0000 // lanes 1,3
+	oddLanes  = 0xffff0000ffff0000
 )
 
-// pairCost packs, for the int8 LLR with bit pattern i, the branch cost of
-// the transmitter having sent coded bit 0 (low 16 bits) and coded bit 1
-// (high 16 bits): disagreeing with the LLR's sign costs its magnitude.
-var pairCost = buildPairCost()
+// rotr6 rotates a 6-bit state right by n.
+func rotr6(s, n int) int {
+	n %= numPhases
+	return (s>>n | s<<(numPhases-n)) & (numStates - 1)
+}
 
-func buildPairCost() (t [256]uint32) {
-	for i := range t {
-		l := int(int8(i))
-		var c0, c1 int
-		if l < 0 {
-			c0 = -l
-		} else {
-			c1 = l
+// statePos[ph][s] locates state s in layout phase ph as 16*lane+word: the
+// survivor bit it owns, and (split again) its path metric.
+var statePos = buildStatePos()
+
+func buildStatePos() (t [numPhases][numStates]uint8) {
+	for ph := range t {
+		for s := range t[ph] {
+			pos := rotr6(s, ph)
+			t[ph][s] = uint8(pos&3<<4 | pos>>2)
 		}
-		t[i] = uint32(c0) | uint32(c1)<<16
 	}
 	return t
 }
 
-// butterflyOut[j] packs the branch outputs of the two low predecessors
-// feeding next states 4j..4j+3: branchOut[2j][0]<<2 | branchOut[2j+1][0].
-// The other six branches of the butterfly follow by complement (^3).
-var butterflyOut = buildButterflyOut()
+// laneA[ph][neg][w] marks (0xffff) the lanes of word w in phase ph whose
+// butterfly's low-predecessor, input-0 branch emits a coded bit A that
+// contradicts an A LLR of the given sign (neg = 1 for a negative LLR, which
+// favours coded bit 1); laneB likewise for coded bit B. Both lanes of a
+// butterfly carry the same mark.
+var laneA, laneB = buildLaneCosts()
 
-func buildButterflyOut() (t [16]uint8) {
-	for j := range t {
-		t[j] = branchOut[2*j][0]<<2 | branchOut[2*j+1][0]
-	}
-	// The SWAR kernel relies on two symmetries of the generator pair: both
+func buildLaneCosts() (a, b [numPhases][2][numMetricWords]uint64) {
+	// The kernel relies on two symmetries of the generator pair: both
 	// polynomials tap the newest bit (input-bit complement) and the oldest
 	// bit (high-predecessor complement). They hold for the 802.11 133/171
 	// pair; guard against table edits.
@@ -105,15 +120,77 @@ func buildButterflyOut() (t [16]uint8) {
 		if branchOut[s][1] != branchOut[s][0]^3 {
 			panic("fec: branch table lost input-bit complement symmetry")
 		}
-		if s < numStates/2 {
-			for b := 0; b < 2; b++ {
-				if branchOut[s+numStates/2][b] != branchOut[s][b]^3 {
-					panic("fec: branch table lost high-predecessor complement symmetry")
-				}
-			}
+		if branchOut[s|numStates/2][0] != branchOut[s&^(numStates/2)][0]^3 {
+			panic("fec: branch table lost high-predecessor complement symmetry")
 		}
 	}
-	return t
+	for ph := 0; ph < numPhases; ph++ {
+		for pos := 0; pos < numStates; pos++ {
+			s := rotr6(pos, numPhases-ph) // the state living at pos
+			o := branchOut[s&(numStates/2-1)][0]
+			w, lane := pos>>2, uint(pos&3)*16
+			// A coded bit of 1 contradicts a non-negative LLR, 0 a negative.
+			a[ph][o>>1&1^1][w] |= 0xffff << lane
+			b[ph][o&1^1][w] |= 0xffff << lane
+		}
+	}
+	return a, b
+}
+
+// selectMin is four add-compare-selects: lane-wise, y where y+tie <= x and
+// x elsewhere, plus the lanes (bit 15 of each) where y was taken. Values
+// stay below 2^15, so ORing the lane's high bit into x and subtracting
+// y+tie cannot borrow across lanes, and the high bit survives exactly when
+// x >= y+tie. tie is 1 in lanes where an equal y must lose.
+func selectMin(x, y, tie uint64) (sel, took uint64) {
+	took = ((x | swarHigh) - (y + tie)) & swarHigh
+	return x ^ (x^y)&((took>>15)*0xffff), took
+}
+
+// stepWordPairs advances the trellis one step in a phase (0..3) whose
+// butterflies pair word i (X) with word i|bit (Y), and returns the step's
+// survivor bits. magA and magB are the two LLR magnitudes broadcast to
+// every lane, ta and tb the phase's lane masks for their signs.
+func stepWordPairs(metric *[numMetricWords]uint64, bit int, magA, magB uint64, ta, tb *[numMetricWords]uint64) (sbits uint64) {
+	total := magA + magB
+	for base := 0; base < numMetricWords; base += 2 * bit {
+		for i := base; i < base+bit; i++ {
+			j := i + bit
+			x, y := metric[i&15], metric[j&15]
+			c := magA&ta[i&15] + magB&tb[i&15]
+			cc := total - c
+			even, tookE := selectMin(x+c, y+cc, swarOnes)
+			odd, tookO := selectMin(x+cc, y+c, swarOnes)
+			metric[i&15], metric[j&15] = even, odd
+			// Decision bits sit at bit 15 of each lane; word w's belong at
+			// bit w, and j = i+bit.
+			sbits |= (tookE>>bit | tookO) >> (15 - j&15)
+		}
+	}
+	return sbits
+}
+
+// stepLanePairs is the step of phases 4 and 5, whose butterflies pair two
+// lanes of one word: the word is compared with its own lane permutation (a
+// 32-bit rotate in phase 4, an adjacent-lane swap in phase 5), so half its
+// lanes hold a low predecessor's candidate and half a high one's.
+func stepLanePairs(metric *[numMetricWords]uint64, swap bool, magA, magB uint64, ta, tb *[numMetricWords]uint64) (sbits uint64) {
+	total := magA + magB
+	tie, flip := uint64(tieLanes4), uint64(flipBits4)
+	if swap {
+		tie, flip = tieLanes5, flipBits5
+	}
+	for w, v := range metric {
+		partner := bits.RotateLeft64(v, 32)
+		if swap {
+			partner = v&oddLanes>>16 | v&^oddLanes<<16
+		}
+		c := magA&ta[w] + magB&tb[w]
+		sel, took := selectMin(v+c, partner+(total-c), tie)
+		metric[w] = sel
+		sbits = sbits>>1 | took // word w's decisions end up at bit w of each lane
+	}
+	return sbits ^ flip
 }
 
 // SoftDecoder is a reusable quantized soft-decision Viterbi decoder. The
@@ -121,11 +198,6 @@ func buildButterflyOut() (t [16]uint8) {
 // DecodeInto performs zero heap allocations. A SoftDecoder must not be
 // shared between goroutines (use one per worker, or a sync.Pool).
 type SoftDecoder struct {
-	// metrics holds the two ping-pong path-metric arrays in packed SWAR
-	// form: 16 uint64 words of four 16-bit lanes, word w carrying states
-	// 4w..4w+3. The add-compare-select reads and writes whole words, so
-	// metrics never round-trip through uint16 scalars inside the bit loop.
-	metrics   [2][numMetricWords]uint64
 	survivors []uint64
 	scratch   []int8 // depunctured mother stream for rates 2/3 and 3/4
 }
@@ -177,87 +249,50 @@ func (d *SoftDecoder) DecodeInto(dst []byte, llrs []int8, rate CodeRate, numInfo
 	}
 	surv := d.survivors[:numInfoBits]
 
-	metric, next := &d.metrics[0], &d.metrics[1]
+	// Phase 0 is the identity layout: word w holds states 4w..4w+3.
+	var metric [numMetricWords]uint64
 	metric[0] = initialMetric*swarOnes - initialMetric // state 0 free, 1..3 handicapped
 	for i := 1; i < numMetricWords; i++ {
 		metric[i] = initialMetric * swarOnes
 	}
 
+	ph := 0
 	for t := 0; t < numInfoBits; t++ {
-		ca := pairCost[uint8(mother[2*t])]
-		cb := pairCost[uint8(mother[2*t+1])]
-		c0, c1 := uint64(ca&0xffff), uint64(ca>>16)
-		e0, e1 := uint64(cb&0xffff), uint64(cb>>16)
-		// cost[o] is the branch metric of emitting packed output o = A<<1|B.
-		var cost [4]uint64
-		cost[0] = c0 + e0
-		cost[1] = c0 + e1
-		cost[2] = c1 + e0
-		cost[3] = c1 + e1
-		// packed[idx] lays cost[o0], cost[o0^3], cost[o1], cost[o1^3] into
-		// four 16-bit lanes for butterfly output pair idx = o0<<2|o1; the
-		// high-predecessor cost word is packed[idx^15] by the complement
-		// symmetry.
-		var packed [16]uint64
-		for idx := range packed {
-			o0, o1 := idx>>2, idx&3
-			packed[idx] = cost[o0] | cost[o0^3]<<16 | cost[o1]<<32 | cost[o1^3]<<48
+		la, lb := int64(mother[2*t]), int64(mother[2*t+1])
+		na, nb := la>>63, lb>>63 // 0 or -1
+		magA := uint64((la^na)-na) * swarOnes
+		magB := uint64((lb^nb)-nb) * swarOnes
+		ta, tb := &laneA[ph][na&1], &laneB[ph][nb&1]
+		if ph < 4 {
+			surv[t] = stepWordPairs(&metric, 8>>ph, magA, magB, ta, tb)
+		} else {
+			surv[t] = stepLanePairs(&metric, ph == 5, magA, magB, ta, tb)
 		}
-		var sbits uint64
-		for j := 0; j < 16; j += 2 {
-			// Butterflies j and j+1 share their predecessor words: states
-			// 2j..2j+3 live in word j/2, states 2j+32..2j+35 in word
-			// j/2+8. Butterfly j draws lanes 0,1 (low preds 2j, 2j+1) and
-			// butterfly j+1 lanes 2,3, each broadcast to the a,a,b,b
-			// candidate layout.
-			w := metric[j>>1]
-			hw := metric[(j>>1)+8]
-			x0 := (w&0xffff)*swarPair | ((w >> 16 & 0xffff) * swarPair << 32)
-			x1 := (w>>32&0xffff)*swarPair | ((w >> 48) * swarPair << 32)
-			y0 := (hw&0xffff)*swarPair | ((hw >> 16 & 0xffff) * swarPair << 32)
-			y1 := (hw>>32&0xffff)*swarPair | ((hw >> 48) * swarPair << 32)
-			idx0 := butterflyOut[j]
-			idx1 := butterflyOut[j+1]
-			x0 += packed[idx0]
-			y0 += packed[idx0^15]
-			x1 += packed[idx1]
-			y1 += packed[idx1^15]
-			// Lane-wise strict compare: lane bit of m set iff y < x (the
-			// high predecessor strictly wins; ties keep the low one, as in
-			// the scalar decoders). Values stay below 2^15, so ORing the
-			// lane sign bit into x and subtracting y+1 cannot borrow across
-			// lanes, and the sign bit survives exactly when x >= y+1. The
-			// two words' chains are independent — free ILP.
-			diff0 := (x0 | swarHigh) - (y0 + swarOnes)
-			diff1 := (x1 | swarHigh) - (y1 + swarOnes)
-			m0 := (diff0 & swarHigh) >> 15
-			m1 := (diff1 & swarHigh) >> 15
-			mask0 := m0 * 0xffff
-			mask1 := m1 * 0xffff
-			next[j] = (y0 & mask0) | (x0 &^ mask0)
-			next[j+1] = (y1 & mask1) | (x1 &^ mask1)
-			sbits |= (m0&1 | m0>>15&2 | m0>>30&4 | m0>>45&8) << (4 * j)
-			sbits |= (m1&1 | m1>>15&2 | m1>>30&4 | m1>>45&8) << (4*j + 4)
+		if ph++; ph == numPhases {
+			ph = 0
 		}
-		surv[t] = sbits
-		metric, next = next, metric
 		if t%renormInterval == renormInterval-1 {
-			renormWords(metric)
+			renormWords(&metric)
 		}
 	}
 
-	// Unpack the packed metrics for the final best-state scan; the strict
-	// compare keeps the lowest state on ties, as the scalar decoders do.
-	best, bestMetric := 0, metric[0]&0xffff
-	for s := 1; s < numStates; s++ {
-		if m := metric[s>>2] >> (16 * (s & 3)) & 0xffff; m < bestMetric {
+	// The strict compare keeps the lowest state on ties, as the scalar
+	// decoders do. ph is now the layout the last step left behind.
+	best, bestMetric := 0, uint64(math.MaxUint64)
+	for s := 0; s < numStates; s++ {
+		at := statePos[ph][s]
+		if m := metric[at&15] >> (at >> 4 * 16) & 0xffff; m < bestMetric {
 			best, bestMetric = s, m
 		}
 	}
 	state := best
 	for t := numInfoBits - 1; t >= 0; t-- {
+		// surv[t] is in the layout step t wrote: phase (t+1) mod 6.
 		dst[t] = byte(state & 1)
-		state = state>>1 | int((surv[t]>>uint(state))&1)<<5
+		state = state>>1 | int(surv[t]>>statePos[ph][state]&1)<<5
+		if ph--; ph < 0 {
+			ph = numPhases - 1
+		}
 	}
 	return nil
 }

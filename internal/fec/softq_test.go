@@ -136,6 +136,58 @@ func TestSoftDecoderRenormLongInput(t *testing.T) {
 	}
 }
 
+// TestSoftDecoderLayoutPhases walks the rotating metric layout through
+// every way it can end and renormalize: lengths leaving the final scan and
+// traceback in each of the six layout phases, both short and just past a
+// renormalization (after steps 63, 127, 191, ...: phases 3, 1, 5, all the
+// 64-step cadence reaches), at all three rates, on streams that mix
+// saturated LLRs, -128 (whose magnitude is 128), erasures and ties. The
+// survivor path must equal the float64 decoder's on the same integers.
+func TestSoftDecoderLayoutPhases(t *testing.T) {
+	rng := rand.New(rand.NewSource(606))
+	var lengths []int
+	for n := 1; n <= 13; n++ {
+		lengths = append(lengths, n)
+	}
+	for k := 1; k <= numPhases; k++ {
+		for d := -1; d < numPhases; d++ {
+			lengths = append(lengths, k*renormInterval+d)
+		}
+	}
+	alphabet := []int8{-128, -127, 127, 0, 0, 1, -1, 64, -64, 5, -5}
+	var dec SoftDecoder
+	for _, rate := range []CodeRate{Rate1_2, Rate2_3, Rate3_4} {
+		phases := map[int]bool{}
+		for _, n := range lengths {
+			llrs := make([]int8, 2*n)
+			fllrs := make([]float64, len(llrs))
+			for i := range llrs {
+				llrs[i] = alphabet[rng.Intn(len(alphabet))]
+				if rng.Intn(3) == 0 {
+					llrs[i] = int8(rng.Intn(256) - 128)
+				}
+				fllrs[i] = float64(llrs[i])
+			}
+			got, err := dec.Decode(llrs, rate, n)
+			if err != nil {
+				t.Fatalf("rate %v n=%d: %v", rate, n, err)
+			}
+			want, err := ViterbiDecodeSoft(fllrs, rate, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("rate %v n=%d (final phase %d): quantized and float decoders walked different paths",
+					rate, n, n%numPhases)
+			}
+			phases[n%numPhases] = true
+		}
+		if len(phases) != numPhases {
+			t.Fatalf("rate %v: lengths cover final phases %v, want all %d", rate, phases, numPhases)
+		}
+	}
+}
+
 func TestSoftDecoderReuseAcrossSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var dec SoftDecoder

@@ -138,151 +138,123 @@ func demapSoftQ(dst []int8, m Modulation, points []complex128, weights []float64
 	if len(dst) != len(points)*bps {
 		return fmt.Errorf("modem: LLR buffer needs %d entries, got %d", len(points)*bps, len(dst))
 	}
-	demapSoftQx4(dst, constellations[m], bps, llrqScales[m], points, weights)
+	demapSoftQAxes(dst, &axes[m], llrqScales[m], points, weights)
 	return nil
 }
 
-// demapSoftQScalar is the straight-line reference kernel: one point at a
-// time, recomputing every squared distance per output bit. It is the
-// bit-identity oracle the fuzz target and differential tests hold
-// demapSoftQx4 to; the serving path never calls it.
-func demapSoftQScalar(dst []int8, ref []complex128, bps int, scale float64, points []complex128, weights []float64) {
+// sqDist is the squared-distance expression of the quantized demapper. The
+// kernel and its test oracle both go through it, so a compiler that fuses
+// the multiply-add fuses it the same way in both.
+func sqDist(re, im float64) float64 { return re*re + im*im }
+
+// pamAxis is one axis of a Gray QAM constellation, which is two independent
+// PAM axes: the top half of a point's bit pattern picks its I level, the
+// bottom half its Q level. A level's index is its label, so the levels whose
+// axis bit j is b are known without the Gray table.
+type pamAxis struct {
+	level [8]float64 // the reference points' own coordinates, by label
+	bits  int        // label bits: 1<<bits levels, a single one on BPSK's Q axis
+}
+
+type axisPair struct{ i, q pamAxis }
+
+// axes[m] splits constellations[m] into its two axes.
+var axes = buildAxes()
+
+func buildAxes() (out [QAM64 + 1]axisPair) {
+	for _, m := range Modulations() {
+		ref := constellations[m]
+		bps := m.BitsPerSymbol()
+		ax := &out[m]
+		ax.i.bits = (bps + 1) / 2 // BPSK: one I bit, a single Q level
+		ax.q.bits = bps - ax.i.bits
+		for a := 0; a < 1<<ax.i.bits; a++ {
+			ax.i.level[a] = real(ref[a<<ax.q.bits])
+		}
+		for b := 0; b < 1<<ax.q.bits; b++ {
+			ax.q.level[b] = imag(ref[b])
+		}
+		for v, s := range ref {
+			if s != complex(ax.i.level[v>>ax.q.bits], ax.q.level[v&(1<<ax.q.bits-1)]) {
+				panic(fmt.Sprintf("modem: %v constellation is not separable at pattern %d", m, v))
+			}
+		}
+	}
+	return out
+}
+
+// axisGaps is one coordinate's distance to its axis: to the nearest level
+// of all, and per label bit to the nearest level carrying a 0 and a 1 there.
+type axisGaps struct {
+	near float64
+	bit  [3][2]float64 // bit[j][b], j counted from the label's MSB
+}
+
+// scan fills g for coordinate x. Gaps are compared as bit patterns: a
+// non-negative float orders as its pattern does, and every NaN pattern
+// lies above +Inf's, so clamping each gap to +Inf leaves exactly what the
+// scalar kernel's `dist < min` scans from a +Inf sentinel leave when no
+// candidate compares — a NaN never wins. A level's index is its label, so
+// the levels sharing a label bit pair up the same way at every width and
+// the scan is a min tree over the label bits.
+func (a *pamAxis) scan(g *axisGaps, x float64) {
+	const (
+		absMask = 1<<63 - 1
+		infBits = 0x7ff0000000000000
+	)
+	gap := func(k int) uint64 { return min(math.Float64bits(x-a.level[k])&absMask, infBits) }
+	f := math.Float64frombits
+	switch a.bits {
+	case 0:
+		g.near = f(gap(0))
+	case 1:
+		u0, u1 := gap(0), gap(1)
+		g.bit[0] = [2]float64{f(u0), f(u1)}
+		g.near = f(min(u0, u1))
+	case 2:
+		u0, u1, u2, u3 := gap(0), gap(1), gap(2), gap(3)
+		lo, hi := min(u0, u1), min(u2, u3)
+		g.bit[0] = [2]float64{f(lo), f(hi)}
+		g.bit[1] = [2]float64{f(min(u0, u2)), f(min(u1, u3))}
+		g.near = f(min(lo, hi))
+	case 3:
+		u0, u1, u2, u3 := gap(0), gap(1), gap(2), gap(3)
+		u4, u5, u6, u7 := gap(4), gap(5), gap(6), gap(7)
+		p01, p23, p45, p67 := min(u0, u1), min(u2, u3), min(u4, u5), min(u6, u7)
+		lo, hi := min(p01, p23), min(p45, p67)
+		g.bit[0] = [2]float64{f(lo), f(hi)}
+		g.bit[1] = [2]float64{f(min(p01, p45)), f(min(p23, p67))}
+		g.bit[2] = [2]float64{f(min(u0, u2, u4, u6)), f(min(u1, u3, u5, u7))}
+		g.near = f(min(lo, hi))
+	}
+}
+
+// demapSoftQAxes is the quantized max-log demapper. sqDist is monotone in
+// |re| and in |im| (every rounding step is, fused or not), so the smallest
+// of the distances to the points whose bit j is b is sqDist itself at the
+// nearest I level with bit j = b and the nearest Q level of all, and
+// likewise for a Q bit: two per-axis scans replace a scan of the whole
+// constellation. Output bytes equal demapSoftQScalar's for every input,
+// NaN, infinite and overflowing coordinates and weights included.
+func demapSoftQAxes(dst []int8, ax *axisPair, scale float64, points []complex128, weights []float64) {
+	ib, qb := ax.i.bits, ax.q.bits
+	var gi, gq axisGaps
 	for i, y := range points {
 		w := scale
 		if weights != nil {
 			w *= weights[i]
 		}
-		for j := 0; j < bps; j++ {
-			min0, min1 := math.Inf(1), math.Inf(1)
-			for v, s := range ref {
-				d := y - s
-				dist := real(d)*real(d) + imag(d)*imag(d)
-				if (v>>(bps-1-j))&1 == 0 {
-					if dist < min0 {
-						min0 = dist
-					}
-				} else if dist < min1 {
-					min1 = dist
-				}
-			}
-			dst[i*bps+j] = fec.SatLLR8((min1 - min0) * w)
+		ax.i.scan(&gi, real(y))
+		ax.q.scan(&gq, imag(y))
+		out := dst[i*(ib+qb) : (i+1)*(ib+qb)]
+		for j := 0; j < ib; j++ {
+			min0, min1 := sqDist(gi.bit[j][0], gq.near), sqDist(gi.bit[j][1], gq.near)
+			out[j] = fec.SatLLR8((min1 - min0) * w)
 		}
-	}
-}
-
-// distTable is one point's squared distance to every constellation point;
-// 64 entries covers the densest supported constellation (QAM64).
-type distTable [64]float64
-
-// fillDists caches |y - ref[v]|² for every v. The distance expression is
-// textually identical to the scalar kernel's, so any compiler fusion
-// (GOAMD64=v3 FMA selection) resolves the same way and the cached values
-// are bit-identical to the recomputed ones.
-func fillDists(d *distTable, ref []complex128, y complex128) {
-	for v, s := range ref {
-		e := y - s
-		d[v] = real(e)*real(e) + imag(e)*imag(e)
-	}
-}
-
-// demapSoftQPoint emits one point's bps LLRs from its cached distances,
-// scanning in the same v order as the scalar kernel.
-func demapSoftQPoint(dst []int8, d *distTable, nref, bps int, w float64) {
-	for j := 0; j < bps; j++ {
-		mask := 1 << (bps - 1 - j)
-		min0, min1 := math.Inf(1), math.Inf(1)
-		for v := 0; v < nref; v++ {
-			dist := d[v]
-			if v&mask == 0 {
-				if dist < min0 {
-					min0 = dist
-				}
-			} else if dist < min1 {
-				min1 = dist
-			}
+		for j := 0; j < qb; j++ {
+			min0, min1 := sqDist(gi.near, gq.bit[j][0]), sqDist(gi.near, gq.bit[j][1])
+			out[ib+j] = fec.SatLLR8((min1 - min0) * w)
 		}
-		dst[j] = fec.SatLLR8((min1 - min0) * w)
-	}
-}
-
-// demapSoftQx4 is the vectorized inner loop: four constellation points
-// per iteration, each lane caching its squared distance to every
-// reference point once (the scalar kernel recomputes them bps times per
-// point), then four independent min scans per output bit with the int8
-// saturating packs unrolled across the lanes. The four distance tables
-// are independent accumulator streams, so GOAMD64=v3 builds can keep the
-// subtract/multiply/add chains in separate vector registers. Bit-
-// identical to demapSoftQScalar: same distance expression, same v scan
-// order, same (min1-min0)*w rounding — held by FuzzDemapSoftQx4 and the
-// demap-quant conformance pair.
-func demapSoftQx4(dst []int8, ref []complex128, bps int, scale float64, points []complex128, weights []float64) {
-	var d0, d1, d2, d3 distTable
-	nref := len(ref)
-	n := len(points)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		fillDists(&d0, ref, points[i])
-		fillDists(&d1, ref, points[i+1])
-		fillDists(&d2, ref, points[i+2])
-		fillDists(&d3, ref, points[i+3])
-		w0, w1, w2, w3 := scale, scale, scale, scale
-		if weights != nil {
-			w0 *= weights[i]
-			w1 *= weights[i+1]
-			w2 *= weights[i+2]
-			w3 *= weights[i+3]
-		}
-		base := i * bps
-		for j := 0; j < bps; j++ {
-			mask := 1 << (bps - 1 - j)
-			a0, b0 := math.Inf(1), math.Inf(1)
-			a1, b1 := math.Inf(1), math.Inf(1)
-			a2, b2 := math.Inf(1), math.Inf(1)
-			a3, b3 := math.Inf(1), math.Inf(1)
-			for v := 0; v < nref; v++ {
-				t0, t1, t2, t3 := d0[v], d1[v], d2[v], d3[v]
-				if v&mask == 0 {
-					if t0 < a0 {
-						a0 = t0
-					}
-					if t1 < a1 {
-						a1 = t1
-					}
-					if t2 < a2 {
-						a2 = t2
-					}
-					if t3 < a3 {
-						a3 = t3
-					}
-				} else {
-					if t0 < b0 {
-						b0 = t0
-					}
-					if t1 < b1 {
-						b1 = t1
-					}
-					if t2 < b2 {
-						b2 = t2
-					}
-					if t3 < b3 {
-						b3 = t3
-					}
-				}
-			}
-			// Unrolled saturating int8 pack, one lane per output stride.
-			dst[base+j] = fec.SatLLR8((b0 - a0) * w0)
-			dst[base+bps+j] = fec.SatLLR8((b1 - a1) * w1)
-			dst[base+2*bps+j] = fec.SatLLR8((b2 - a2) * w2)
-			dst[base+3*bps+j] = fec.SatLLR8((b3 - a3) * w3)
-		}
-	}
-	for ; i < n; i++ {
-		fillDists(&d0, ref, points[i])
-		w := scale
-		if weights != nil {
-			w *= weights[i]
-		}
-		demapSoftQPoint(dst[i*bps:(i+1)*bps], &d0, nref, bps, w)
 	}
 }
 

@@ -160,8 +160,22 @@ func EstimateCFO(rx []complex128, start int) float64 {
 // CorrectCFO derotates rx in place by the estimated offset eps (radians per
 // sample), with sample index counted from sampleOffset.
 func CorrectCFO(rx []complex128, eps float64, sampleOffset int) {
-	for i := range rx {
-		rx[i] *= cmplx.Exp(complex(0, -eps*float64(sampleOffset+i)))
+	CorrectCFOInto(rx, rx, eps, sampleOffset)
+}
+
+// CorrectCFOInto writes src, derotated by eps, into dst (at least as long;
+// it may be src itself). Each sample is turned by its own position counted
+// from sampleOffset and by nothing else, so correcting a stretch of a
+// buffer when it is read gives the same floats as correcting the whole
+// buffer up front. A zero eps is a plain copy.
+func CorrectCFOInto(dst, src []complex128, eps float64, sampleOffset int) {
+	if eps == 0 {
+		copy(dst, src)
+		return
+	}
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = x * cmplx.Exp(complex(0, -eps*float64(sampleOffset+i)))
 	}
 }
 

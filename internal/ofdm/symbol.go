@@ -63,13 +63,22 @@ func SymbolBins(samples []complex128) ([]complex128, error) {
 // SymbolBinsInto is SymbolBins writing into a caller-provided
 // NumSubcarriers-bin buffer, allocation-free.
 func SymbolBinsInto(bins, samples []complex128) error {
+	return SymbolBinsCFOInto(bins, samples, 0, 0)
+}
+
+// SymbolBinsCFOInto is SymbolBinsInto for a symbol that still carries a
+// carrier offset of eps radians per sample: samples[0] is sample number
+// sampleOffset of the buffer the offset was estimated on, and the 64 body
+// samples are derotated (CorrectCFOInto) on their way into the FFT input.
+// It is the one place the receive chain reads a symbol from.
+func SymbolBinsCFOInto(bins, samples []complex128, eps float64, sampleOffset int) error {
 	if len(bins) != NumSubcarriers {
 		return fmt.Errorf("ofdm: bin buffer needs %d entries, got %d", NumSubcarriers, len(bins))
 	}
 	if len(samples) < SymbolLen {
 		return fmt.Errorf("ofdm: need %d samples per symbol, got %d", SymbolLen, len(samples))
 	}
-	copy(bins, samples[CyclicPrefixLen:SymbolLen])
+	CorrectCFOInto(bins, samples[CyclicPrefixLen:SymbolLen], eps, sampleOffset+CyclicPrefixLen)
 	return dsp.FFT(bins)
 }
 

@@ -93,12 +93,25 @@ type RxResult struct {
 	PilotPhases []float64
 }
 
-// Sync performs the front half of reception — packet detection, CFO
-// estimation and correction, LTF channel estimation — and returns a
-// CFO-corrected sample buffer beginning at the preamble, the channel
-// estimate, and the CFO. The status is StatusOK, StatusNoPreamble, or
-// StatusTruncated.
-func Sync(rx []complex128, knownStart int) (buf []complex128, h []complex128, cfoRad float64, status RxStatus) {
+// Synced is a frame located in a receive buffer and measured, but not yet
+// corrected: the symbol readers below derotate each symbol as they load
+// it, so a receiver pays the carrier correction only for the symbols it
+// actually reads (Carpool's stations skip most of a frame) and never
+// copies the buffer.
+type Synced struct {
+	// Samples is the receive buffer from the first preamble sample on,
+	// shared with the caller's.
+	Samples []complex128
+	// CFORad is the carrier frequency offset Samples still carries, in
+	// radians per sample; zero for an already corrected buffer.
+	CFORad float64
+}
+
+// Acquire performs the front half of reception without touching the
+// payload: packet detection, CFO estimation, and LTF channel estimation
+// from a corrected copy of the two LTF symbols. The status is StatusOK,
+// StatusNoPreamble, or StatusTruncated.
+func Acquire(rx []complex128, knownStart int) (src Synced, h []complex128, status RxStatus) {
 	sink := obs.Active()
 	start := knownStart
 	if start < 0 {
@@ -106,36 +119,63 @@ func Sync(rx []complex128, knownStart int) (buf []complex128, h []complex128, cf
 		start, found = ofdm.DetectPacket(rx)
 		if !found {
 			sink.Counter("phy.sync_fail").Inc()
-			return nil, nil, 0, StatusNoPreamble
+			return Synced{}, nil, StatusNoPreamble
 		}
 	}
 	if start+ofdm.PreambleLen+ofdm.SymbolLen > len(rx) {
 		sink.Counter("phy.sync_fail").Inc()
-		return nil, nil, 0, StatusTruncated
+		return Synced{}, nil, StatusTruncated
 	}
-	buf = append([]complex128(nil), rx[start:]...)
-	cfoRad = ofdm.EstimateCFO(buf, 0)
-	ofdm.CorrectCFO(buf, cfoRad, 0)
-	h, err := ofdm.EstimateChannel(buf, 0)
+	src = Synced{Samples: rx[start:]}
+	src.CFORad = ofdm.EstimateCFO(src.Samples, 0)
+	const ltf = ofdm.STFLen + ofdm.LTFGuardLen
+	var pre [ofdm.PreambleLen]complex128
+	ofdm.CorrectCFOInto(pre[ltf:], src.Samples[ltf:ofdm.PreambleLen], src.CFORad, ltf)
+	h, err := ofdm.EstimateChannel(pre[:], 0)
 	if err != nil {
 		sink.Counter("phy.sync_fail").Inc()
-		return nil, nil, cfoRad, StatusTruncated
+		return src, nil, StatusTruncated
 	}
 	sink.Counter("phy.sync_ok").Inc()
-	return buf, h, cfoRad, StatusOK
+	return src, h, StatusOK
+}
+
+// Sync is Acquire followed by correcting the whole frame: it returns a
+// CFO-corrected copy of the sample buffer beginning at the preamble, the
+// channel estimate, and the CFO, for callers that read the buffer
+// themselves.
+func Sync(rx []complex128, knownStart int) (buf []complex128, h []complex128, cfoRad float64, status RxStatus) {
+	src, h, status := Acquire(rx, knownStart)
+	if status != StatusOK {
+		return nil, nil, src.CFORad, status
+	}
+	buf = make([]complex128, len(src.Samples))
+	ofdm.CorrectCFOInto(buf, src.Samples, src.CFORad, 0)
+	return buf, h, src.CFORad, StatusOK
+}
+
+// BinsInto loads the symbol at sample offset into its 64 frequency-domain
+// bins, corrected for the carrier offset.
+func (s Synced) BinsInto(bins []complex128, offset int) error {
+	return ofdm.SymbolBinsCFOInto(bins, s.Samples[offset:], s.CFORad, offset)
 }
 
 // DecodeSIGAt demodulates and decodes one SIG symbol at the given sample
-// offset in a synchronized buffer, equalizing with h and using pilot
-// polarity index symIdx. It returns the SIG and the tracked pilot phase of
-// the symbol (the side-channel differential reference for the symbols that
-// follow it).
+// offset in a synchronized, CFO-corrected buffer, equalizing with h and
+// using pilot polarity index symIdx. It returns the SIG and the tracked
+// pilot phase of the symbol (the side-channel differential reference for
+// the symbols that follow it).
 func DecodeSIGAt(buf, h []complex128, offset, symIdx int) (SIG, float64, error) {
-	if offset+ofdm.SymbolLen > len(buf) {
+	return Synced{Samples: buf}.DecodeSIGAt(h, offset, symIdx)
+}
+
+// DecodeSIGAt is the package-level DecodeSIGAt on a located frame.
+func (s Synced) DecodeSIGAt(h []complex128, offset, symIdx int) (SIG, float64, error) {
+	if offset+ofdm.SymbolLen > len(s.Samples) {
 		return SIG{}, 0, fmt.Errorf("phy: buffer ends before SIG symbol")
 	}
 	var bins [ofdm.NumSubcarriers]complex128
-	if err := ofdm.SymbolBinsInto(bins[:], buf[offset:]); err != nil {
+	if err := s.BinsInto(bins[:], offset); err != nil {
 		return SIG{}, 0, err
 	}
 	if err := ofdm.Equalize(bins[:], h); err != nil {
@@ -190,7 +230,7 @@ func DecodeDataSymbols(buf []complex128, offset, baseSymIdx, nsym int, mod modem
 func DecodeDataSymbolsOpts(buf []complex128, offset, baseSymIdx, nsym int, mod modem.Modulation,
 	tracker ChannelTracker, scheme *sidechannel.Scheme, primePhase float64,
 	collectLLRs bool) (*Segment, error) {
-	return decodeDataSymbols(buf, offset, baseSymIdx, nsym, mod, tracker, scheme, primePhase,
+	return decodeDataSymbols(Synced{Samples: buf}, offset, baseSymIdx, nsym, mod, tracker, scheme, primePhase,
 		collectLLRs, false)
 }
 
@@ -199,8 +239,14 @@ func DecodeDataSymbolsOpts(buf []complex128, offset, baseSymIdx, nsym int, mod m
 // LLRs.
 func DecodeDataSymbolsQ(buf []complex128, offset, baseSymIdx, nsym int, mod modem.Modulation,
 	tracker ChannelTracker, scheme *sidechannel.Scheme, primePhase float64) (*Segment, error) {
-	return decodeDataSymbols(buf, offset, baseSymIdx, nsym, mod, tracker, scheme, primePhase,
-		false, true)
+	return Synced{Samples: buf}.DecodeDataSymbols(offset, baseSymIdx, nsym, mod, tracker, scheme, primePhase, true)
+}
+
+// DecodeDataSymbols is the package-level DecodeDataSymbols on a located
+// frame, or with quantized set DecodeDataSymbolsQ.
+func (s Synced) DecodeDataSymbols(offset, baseSymIdx, nsym int, mod modem.Modulation,
+	tracker ChannelTracker, scheme *sidechannel.Scheme, primePhase float64, quantized bool) (*Segment, error) {
+	return decodeDataSymbols(s, offset, baseSymIdx, nsym, mod, tracker, scheme, primePhase, false, quantized)
 }
 
 // decodeDataSymbols is the shared DATA-symbol demodulation loop.
@@ -209,7 +255,7 @@ func DecodeDataSymbolsQ(buf []complex128, offset, baseSymIdx, nsym int, mod mode
 // is carved out of flat buffers sized once up front, and the demodulation
 // workspace lives in a scratch struct reused across symbols, so the
 // steady-state symbol loop performs zero heap allocations.
-func decodeDataSymbols(buf []complex128, offset, baseSymIdx, nsym int, mod modem.Modulation,
+func decodeDataSymbols(src Synced, offset, baseSymIdx, nsym int, mod modem.Modulation,
 	tracker ChannelTracker, scheme *sidechannel.Scheme, primePhase float64,
 	collectLLRs, collectLLRQs bool) (*Segment, error) {
 	if tracker == nil {
@@ -338,12 +384,12 @@ func decodeDataSymbols(buf []complex128, offset, baseSymIdx, nsym int, mod modem
 
 	for i := 0; i < nsym; i++ {
 		symOff := offset + i*ofdm.SymbolLen
-		if symOff+ofdm.SymbolLen > len(buf) {
+		if symOff+ofdm.SymbolLen > len(src.Samples) {
 			seg.Truncated = true
 			break
 		}
 		rawBins := rawRing[len(group)*ofdm.NumSubcarriers:][:ofdm.NumSubcarriers]
-		if err := ofdm.SymbolBinsInto(rawBins, buf[symOff:]); err != nil {
+		if err := src.BinsInto(rawBins, symOff); err != nil {
 			return nil, err
 		}
 		copy(scratch.eq[:], rawBins)
@@ -418,7 +464,7 @@ func Receive(rx []complex128, cfg RxConfig) (*RxResult, error) {
 
 	nsym := sig.MCS.NumSymbols(sig.Length)
 	soft := cfg.SoftFEC && !cfg.SkipFEC
-	seg, err := decodeDataSymbols(buf, ofdm.PreambleLen+ofdm.SymbolLen, 1, nsym,
+	seg, err := decodeDataSymbols(Synced{Samples: buf}, ofdm.PreambleLen+ofdm.SymbolLen, 1, nsym,
 		sig.MCS.Mod, tracker, cfg.SideChannel, sigPhase,
 		soft && cfg.SoftFloat64, soft && !cfg.SoftFloat64)
 	if err != nil {

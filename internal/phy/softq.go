@@ -81,7 +81,7 @@ type SoftQBatchJob struct {
 
 // DecodeDataFieldBatch decodes K subframes' DATA fields through one
 // workspace: every subframe's deinterleaved LLR lanes are laid back to
-// back in a single contiguous slab, and the reused 8-lane Viterbi walks
+// back in a single contiguous slab, and the reused SWAR Viterbi walks
 // them in sequence — one deinterleave pass and zero steady-state
 // allocations beyond the returned payloads, with no per-subframe decoder
 // churn. Outputs are bit-identical to calling DecodeDataField once per

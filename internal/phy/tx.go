@@ -160,67 +160,78 @@ func DecodeDataFieldSoft(llrBlocks [][]float64, mcs MCS, payloadLen int) ([]byte
 
 // sideBitsForBlocks computes the per-symbol side-channel bits for a run of
 // coded blocks under the given scheme. A trailing partial group uses a
-// shortened checksum of the same alphabet.
+// shortened checksum of the same alphabet. Every symbol's bits are carved
+// from one flat buffer, as the receive loop's are.
 func sideBitsForBlocks(blocks [][]byte, scheme sidechannel.Scheme) ([][]byte, error) {
 	if err := scheme.Validate(); err != nil {
 		return nil, err
 	}
-	out := make([][]byte, 0, len(blocks))
+	bps := scheme.Alphabet.BitsPerSymbol()
+	flat := make([]byte, len(blocks)*bps)
+	out := make([][]byte, len(blocks))
+	var groupBits []byte
 	for g := 0; g < len(blocks); g += scheme.GroupSize {
 		end := min(g+scheme.GroupSize, len(blocks))
 		sub := scheme
 		sub.GroupSize = end - g
-		var groupBits []byte
+		groupBits = groupBits[:0]
 		for _, b := range blocks[g:end] {
 			groupBits = append(groupBits, b...)
 		}
-		chunks, err := sub.Checksum(groupBits)
-		if err != nil {
+		if err := sub.ChecksumFlat(flat[g*bps:end*bps], groupBits); err != nil {
 			return nil, err
 		}
-		out = append(out, chunks...)
+	}
+	for i := range out {
+		out[i] = flat[i*bps : (i+1)*bps : (i+1)*bps]
 	}
 	return out, nil
 }
 
-// BuildDataSymbols maps coded-bit blocks onto OFDM DATA symbols. baseSymIdx
-// is the pilot-polarity index of the first symbol (consecutive symbols
-// increment it). When scheme is non-nil, each symbol carries its
-// side-channel CRC bits as an injected phase offset; the differential
-// encoder starts from zero, i.e. the symbol immediately before the run (a
-// SIG or A-HDR symbol) is the phase reference.
-func BuildDataSymbols(blocks [][]byte, mod modem.Modulation, baseSymIdx int,
-	scheme *sidechannel.Scheme) (samples []complex128, sideBits [][]byte, err error) {
+// BuildDataSymbolsInto maps coded-bit blocks onto OFDM DATA symbols,
+// writing them into dst, which must hold exactly len(blocks) symbols: a
+// frame builder knows its length before the first sample and lays every
+// run straight into the frame. baseSymIdx is the pilot-polarity index of
+// the first symbol (consecutive symbols increment it). When scheme is
+// non-nil, each symbol carries its side-channel CRC bits as an injected
+// phase offset; the differential encoder starts from zero, i.e. the symbol
+// immediately before the run (a SIG or A-HDR symbol) is the phase
+// reference.
+func BuildDataSymbolsInto(dst []complex128, blocks [][]byte, mod modem.Modulation, baseSymIdx int,
+	scheme *sidechannel.Scheme) (sideBits [][]byte, err error) {
+	if len(dst) != len(blocks)*ofdm.SymbolLen {
+		return nil, fmt.Errorf("phy: %d symbols need %d samples, got %d",
+			len(blocks), len(blocks)*ofdm.SymbolLen, len(dst))
+	}
 	var encoder *sidechannel.Encoder
 	if scheme != nil {
 		sideBits, err = sideBitsForBlocks(blocks, *scheme)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		encoder, err = sidechannel.NewEncoder(scheme.Alphabet)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	samples = make([]complex128, len(blocks)*ofdm.SymbolLen)
 	var points [ofdm.NumData]complex128
 	for i, block := range blocks {
 		if err := modem.MapInto(points[:], mod, block); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		inject := 0.0
 		if encoder != nil {
 			inject, err = encoder.Next(sideBits[i])
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
-		dst := samples[i*ofdm.SymbolLen : (i+1)*ofdm.SymbolLen]
-		if err := ofdm.AssembleSymbolInto(dst, points[:], baseSymIdx+i, inject); err != nil {
-			return nil, nil, err
+		sym := dst[i*ofdm.SymbolLen : (i+1)*ofdm.SymbolLen]
+		if err := ofdm.AssembleSymbolInto(sym, points[:], baseSymIdx+i, inject); err != nil {
+			return nil, err
 		}
 	}
-	return samples, sideBits, nil
+	return sideBits, nil
 }
 
 // Transmit builds a complete legacy-format frame: preamble, SIG, DATA
@@ -234,17 +245,17 @@ func Transmit(payload []byte, cfg TxConfig) (*TxFrame, error) {
 	if err != nil {
 		return nil, err
 	}
-	samples := make([]complex128, 0, ofdm.PreambleLen+(1+len(blocks))*ofdm.SymbolLen)
-	samples = append(samples, ofdm.GeneratePreamble()...)
+	const dataAt = ofdm.PreambleLen + ofdm.SymbolLen
+	samples := make([]complex128, dataAt+len(blocks)*ofdm.SymbolLen)
+	copy(samples, ofdm.GeneratePreamble())
 	sigSym, err := BuildSIGSymbol(sig, 0)
 	if err != nil {
 		return nil, err
 	}
-	samples = append(samples, sigSym...)
-	dataSamples, sideBits, err := BuildDataSymbols(blocks, cfg.MCS.Mod, 1, cfg.SideChannel)
+	copy(samples[ofdm.PreambleLen:], sigSym)
+	sideBits, err := BuildDataSymbolsInto(samples[dataAt:], blocks, cfg.MCS.Mod, 1, cfg.SideChannel)
 	if err != nil {
 		return nil, err
 	}
-	samples = append(samples, dataSamples...)
 	return &TxFrame{Samples: samples, SIG: sig, Blocks: blocks, SideBits: sideBits}, nil
 }

@@ -101,22 +101,36 @@ func (s Scheme) Checksum(groupBits []byte) ([][]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w := s.CRCWidth()
-	crc, err := CRCK(groupBits, w)
-	if err != nil {
+	flat := make([]byte, s.CRCWidth())
+	if err := s.ChecksumFlat(flat, groupBits); err != nil {
 		return nil, err
 	}
 	bps := s.Alphabet.BitsPerSymbol()
 	out := make([][]byte, s.GroupSize)
-	for i := 0; i < s.GroupSize; i++ {
-		chunk := make([]byte, bps)
-		for j := 0; j < bps; j++ {
-			shift := w - (i*bps + j) - 1
-			chunk[j] = byte((crc >> shift) & 1)
-		}
-		out[i] = chunk
+	for i := range out {
+		out[i] = flat[i*bps : (i+1)*bps : (i+1)*bps]
 	}
 	return out, nil
+}
+
+// ChecksumFlat is Checksum writing the chunks back to back into dst
+// (CRCWidth bits, the layout VerifyFlat reads), allocation-free.
+func (s Scheme) ChecksumFlat(dst, groupBits []byte) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	w := s.CRCWidth()
+	if len(dst) != w {
+		return fmt.Errorf("sidechannel: checksum buffer needs %d bits, got %d", w, len(dst))
+	}
+	crc, err := CRCK(groupBits, w)
+	if err != nil {
+		return err
+	}
+	for j := range dst {
+		dst[j] = byte((crc >> (w - 1 - j)) & 1)
+	}
+	return nil
 }
 
 // VerifyFlat is Verify for side-channel bits stored contiguously — GroupSize
